@@ -127,24 +127,36 @@ void BM_FullSta(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSta);
 
-void BM_IncrementalSta(benchmark::State& state) {
-  sim::CircuitConfig config = sim::fastest_config(circuit());
-  sta::TimingState timing(circuit());
+/// One random variant trial per iteration: incremental update, then revert.
+void incremental_sta_trials(benchmark::State& state, const netlist::Netlist& n) {
+  sim::CircuitConfig config = sim::fastest_config(n);
+  sta::TimingState timing(n);
   timing.analyze(config);
   Rng rng(4);
   for (auto _ : state) {
-    const int g =
-        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(circuit().num_gates())));
-    const int v = static_cast<int>(rng.next_below(
-        static_cast<std::uint64_t>(circuit().cell_of(g).num_variants())));
+    const int g = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n.num_gates())));
+    const int v = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(n.cell_of(g).num_variants())));
     config[static_cast<std::size_t>(g)].variant = v;
     sta::TimingUndo undo;
     benchmark::DoNotOptimize(timing.update_after_gate_change(config, g, &undo));
     timing.revert(undo);
-    config[static_cast<std::size_t>(g)].variant = circuit().cell_of(g).fastest_variant();
+    config[static_cast<std::size_t>(g)].variant = n.cell_of(g).fastest_variant();
   }
+  state.counters["observe_points"] = static_cast<double>(n.observe_points().size());
 }
+
+void BM_IncrementalSta(benchmark::State& state) { incremental_sta_trials(state, circuit()); }
 BENCHMARK(BM_IncrementalSta);
+
+// The same trials on the dag10k scale preset, whose ~1.7k observe points
+// (vs the few dozen of the 1000-gate circuit above) make any per-update
+// O(outputs) work visible.
+void BM_IncrementalStaWide(benchmark::State& state) {
+  static const netlist::Netlist dag = netlist::make_scale_circuit(lib(), "dag10k");
+  incremental_sta_trials(state, dag);
+}
+BENCHMARK(BM_IncrementalStaWide);
 
 void BM_TernaryBound(benchmark::State& state) {
   const opt::AssignmentProblem problem(circuit(), 0.05);

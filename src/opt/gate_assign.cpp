@@ -152,6 +152,7 @@ Solution assign_gates_greedy(const AssignmentProblem& problem,
   sim::CircuitConfig config = initial_config(problem.netlist(), contexts);
   sta::TimingState timing(problem.netlist());
   timing.set_boundary(problem.boundary());
+  timing.use_load_slices(&problem.load_slices());
   timing.analyze(config);
   sta::TimingSnapshot baseline;
   timing.snapshot(baseline);

@@ -1,6 +1,7 @@
 #include "opt/problem.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "util/error.hpp"
@@ -80,30 +81,38 @@ AssignmentProblem::AssignmentProblem(const netlist::Netlist& netlist,
     }
   }
 
-  // Input ordering: descending transitive-fanout gate count.
-  std::vector<int> cone_size(static_cast<std::size_t>(netlist.num_control_points()), 0);
-  for (int i = 0; i < netlist.num_control_points(); ++i) {
-    std::vector<bool> reached(static_cast<std::size_t>(netlist.num_gates()), false);
-    std::vector<int> stack;
-    for (const netlist::Sink& sink : netlist.sinks(netlist.control_points()[i])) {
-      if (!reached[static_cast<std::size_t>(sink.gate)]) {
-        reached[static_cast<std::size_t>(sink.gate)] = true;
-        stack.push_back(sink.gate);
+  // Input ordering: descending transitive-fanout gate count. One
+  // topological pass per 64 control points: bit i of reach[s] says whether
+  // control point base+i reaches signal s, a gate's word is the OR of its
+  // fanins' words, and bit-sliced counters (plane k holds bit k of every
+  // lane's count) add each gate's word into all 64 cone sizes at once.
+  const netlist::FlatNetlist& flat = netlist.flat();
+  const std::vector<std::uint32_t>& cps = flat.control_points();
+  std::vector<int> cone_size(cps.size(), 0);
+  std::vector<std::uint64_t> reach(flat.num_signals());
+  for (std::size_t base = 0; base < cps.size(); base += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, cps.size() - base);
+    std::fill(reach.begin(), reach.end(), std::uint64_t{0});
+    for (std::size_t i = 0; i < lanes; ++i) reach[cps[base + i]] = std::uint64_t{1} << i;
+    std::array<std::uint64_t, 32> planes{};  // counts <= num_gates < 2^31
+    for (const std::uint32_t g : flat.topo_order()) {
+      const std::uint32_t* fanins = flat.fanins(g);
+      std::uint64_t word = 0;
+      for (std::uint32_t pin = 0; pin < flat.fanin_count(g); ++pin) word |= reach[fanins[pin]];
+      reach[flat.output(g)] = word;
+      for (std::size_t k = 0; word != 0; ++k) {  // ripple-carry add of one per set lane
+        const std::uint64_t carry = planes[k] & word;
+        planes[k] ^= word;
+        word = carry;
       }
     }
-    int count = 0;
-    while (!stack.empty()) {
-      const int g = stack.back();
-      stack.pop_back();
-      ++count;
-      for (const netlist::Sink& sink : netlist.sinks(netlist.gate(g).output)) {
-        if (!reached[static_cast<std::size_t>(sink.gate)]) {
-          reached[static_cast<std::size_t>(sink.gate)] = true;
-          stack.push_back(sink.gate);
-        }
+    for (std::size_t i = 0; i < lanes; ++i) {
+      std::uint32_t count = 0;
+      for (std::size_t k = 0; k < planes.size(); ++k) {
+        count |= static_cast<std::uint32_t>((planes[k] >> i) & 1) << k;
       }
+      cone_size[base + i] = static_cast<int>(count);
     }
-    cone_size[static_cast<std::size_t>(i)] = count;
   }
   input_order_.resize(static_cast<std::size_t>(netlist.num_control_points()));
   for (int i = 0; i < netlist.num_control_points(); ++i) {

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <queue>
 #include <utility>
 
 #include "util/error.hpp"
@@ -273,6 +272,8 @@ TimingState::TimingState(const netlist::Netlist& netlist)
   for (std::size_t i = 0; i < order.size(); ++i) {
     topo_rank_[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }
+  observe_.assign(static_cast<std::size_t>(n), 0);
+  for (int s : netlist.observe_points()) observe_[static_cast<std::size_t>(s)] = 1;
   sink_offset_.resize(static_cast<std::size_t>(n) + 1);
   sink_offset_[0] = 0;
   for (int s = 0; s < n; ++s) {
@@ -326,7 +327,8 @@ double TimingState::analyze(const sim::CircuitConfig& config, double delay_scale
     sig_[flat_->output(g)] = evaluate_gate(*netlist_, config, static_cast<int>(g),
                                            sig_.data(), load_ff_, nullptr, delay_scale);
   }
-  return circuit_delay_ps();
+  rescan_delay();
+  return delay_ps_;
 }
 
 bool TimingState::recompute_gate(const sim::CircuitConfig& config, int gate,
@@ -346,45 +348,25 @@ bool TimingState::recompute_gate(const sim::CircuitConfig& config, int gate,
     undo->entries.push_back({static_cast<int>(out), cur});
   }
   cur = t;
+  note_signal(out);
   return true;
 }
 
 double TimingState::update_after_gate_change(const sim::CircuitConfig& config, int gate,
                                              TimingUndo* undo) {
-  // Process the affected cone in topological order; a min-heap over topo
-  // rank guarantees each gate is re-evaluated at most once per update with
-  // all its fanins final.
-  using Item = std::pair<int, int>;  // (rank, gate)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue;
-  if (queued_.size() != static_cast<std::size_t>(netlist_->num_gates())) {
-    queued_.assign(static_cast<std::size_t>(netlist_->num_gates()), false);
-  }
-  queue.push({topo_rank_[static_cast<std::size_t>(gate)], gate});
-  queued_[static_cast<std::size_t>(gate)] = true;
-
-  while (!queue.empty()) {
-    const int g = queue.top().second;
-    queue.pop();
-    queued_[static_cast<std::size_t>(g)] = false;
-    if (!recompute_gate(config, g, undo)) continue;
-    const std::uint32_t out = flat_->output(static_cast<std::uint32_t>(g));
-    const std::uint32_t* sink_gates = flat_->sink_gates(out);
-    const std::uint32_t count = flat_->sink_count(out);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t sink = sink_gates[i];
-      if (!queued_[sink]) {
-        queue.push({topo_rank_[sink], static_cast<int>(sink)});
-        queued_[sink] = true;
-      }
-    }
-  }
-  return circuit_delay_ps();
+  return propagate(config, gate, nullptr, 0.0, undo);
 }
 
 double TimingState::update_after_gate_change_bounded(
     const sim::CircuitConfig& config, int gate,
     const std::vector<double>& downstream_lb_ps, double ceiling_ps,
     TimingUndo* undo) {
+  return propagate(config, gate, downstream_lb_ps.data(), ceiling_ps, undo);
+}
+
+double TimingState::propagate(const sim::CircuitConfig& config, int gate,
+                              const double* downstream_lb_ps, double ceiling_ps,
+                              TimingUndo* undo) {
   // Margin between the abort test and the caller's feasibility test. The
   // bound chain is exact in real arithmetic; the margin only has to absorb
   // double rounding across a few thousand adds/maxes (~1e-10 ps on
@@ -393,15 +375,14 @@ double TimingState::update_after_gate_change_bounded(
   // less than the margin simply fall through to the full propagation.
   constexpr double kAbortMarginPs = 1e-3;
 
-  // Topo ranks are a permutation of the gates, so visiting pending ranks
-  // in ascending order reproduces update_after_gate_change's processing
-  // order exactly. Pending ranks live in a bitmap (member scratch -- this
-  // runs thousands of times per leaf): pop = clear the lowest set bit at or
-  // after the cursor, push = set a bit, which also dedups for free. Every
-  // sink's rank exceeds its driver's, so pushes always land at or ahead of
-  // the cursor word and nothing is ever missed. Word-scanning the cone's
-  // rank range costs ~range/64 loads, replacing O(log n) heap churn per
-  // visit. Both exits leave the bitmap all-zero for the next call.
+  // The affected cone is processed in topological order, so each gate is
+  // re-evaluated at most once per update with all its fanins final.
+  // Pending ranks live in a bitmap (member scratch -- this runs thousands
+  // of times per leaf): pop = clear the lowest set bit at or after the
+  // cursor, push = set a bit, which also dedups for free. Every sink's
+  // rank exceeds its driver's, so pushes always land at or ahead of the
+  // cursor word and nothing is ever missed. `pending` counts the set bits,
+  // so the scan stops at the cone's last rank instead of the bitmap's end.
   const std::vector<int>& rank_to_gate = netlist_->topological_order();
   const std::size_t num_words =
       (static_cast<std::size_t>(netlist_->num_gates()) + 63) / 64;
@@ -410,14 +391,16 @@ double TimingState::update_after_gate_change_bounded(
   const std::uint32_t start_rank =
       static_cast<std::uint32_t>(topo_rank_[static_cast<std::size_t>(gate)]);
   pending_bits_[start_rank >> 6] |= std::uint64_t{1} << (start_rank & 63);
+  std::size_t pending = 1;
 
-  for (std::size_t word = start_rank >> 6; word < num_words;) {
+  for (std::size_t word = start_rank >> 6; pending != 0;) {
     const std::uint64_t bits = pending_bits_[word];
     if (bits == 0) {
       ++word;
       continue;
     }
     pending_bits_[word] = bits & (bits - 1);  // clear lowest set bit
+    --pending;
     const std::size_t rank = (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
     const int g = rank_to_gate[rank];
     if (!recompute_gate(config, g, undo)) continue;
@@ -425,43 +408,70 @@ double TimingState::update_after_gate_change_bounded(
     // `g` popped with all fanins settled, so its arrival is final for this
     // update; adding the optimistic downstream remainder lower-bounds the
     // eventual circuit delay.
-    if (std::max(sig_[out].at_rise, sig_[out].at_fall) + downstream_lb_ps[out] >
-        ceiling_ps + kAbortMarginPs) {
+    if (downstream_lb_ps != nullptr &&
+        std::max(sig_[out].at_rise, sig_[out].at_fall) + downstream_lb_ps[out] >
+            ceiling_ps + kAbortMarginPs) {
       // Unvisited pending ranks all sit at or beyond the cursor word.
-      std::fill(pending_bits_.begin() + static_cast<std::ptrdiff_t>(word),
-                pending_bits_.end(), std::uint64_t{0});
+      for (; pending != 0; ++word) {
+        pending -= static_cast<std::size_t>(std::popcount(pending_bits_[word]));
+        pending_bits_[word] = 0;
+      }
+      settle_delay();
       return 1e300;
     }
     for (std::uint32_t i = sink_offset_[out]; i < sink_offset_[out + 1]; ++i) {
       const std::uint32_t r = sink_rank_[i];
-      pending_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
+      std::uint64_t& w = pending_bits_[r >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+      if ((w & bit) == 0) {
+        w |= bit;
+        ++pending;
+      }
     }
   }
-  return circuit_delay_ps();
+  settle_delay();
+  return delay_ps_;
 }
 
-void TimingState::snapshot(TimingSnapshot& out) const { out.signals = sig_; }
+void TimingState::snapshot(TimingSnapshot& out) const {
+  out.signals = sig_;
+  out.delay_ps = delay_ps_;
+  out.delay_signal = delay_signal_;
+}
 
 void TimingState::restore(const TimingSnapshot& snap) {
   if (snap.signals.size() != sig_.size()) {
     throw ContractError("TimingState::restore: snapshot size mismatch");
   }
   sig_ = snap.signals;
+  delay_ps_ = snap.delay_ps;
+  delay_signal_ = snap.delay_signal;
+  delay_stale_ = false;
 }
 
 void TimingState::revert(const TimingUndo& undo) {
   for (auto it = undo.entries.rbegin(); it != undo.entries.rend(); ++it) {
-    sig_[static_cast<std::size_t>(it->signal)] = it->prev;
+    const std::size_t s = static_cast<std::size_t>(it->signal);
+    sig_[s] = it->prev;
+    note_signal(s);
   }
+  settle_delay();
 }
 
-double TimingState::circuit_delay_ps() const {
+void TimingState::rescan_delay() {
   double worst = 0.0;
+  int holder = -1;
   for (int s : netlist_->observe_points()) {
     const SignalTiming& t = sig_[static_cast<std::size_t>(s)];
-    worst = std::max({worst, t.at_rise, t.at_fall});
+    const double v = std::max(t.at_rise, t.at_fall);
+    if (v > worst) {
+      worst = v;
+      holder = s;
+    }
   }
-  return worst;
+  delay_ps_ = worst;
+  delay_signal_ = holder;
+  delay_stale_ = false;
 }
 
 TimingState::Critical TimingState::critical_output() const {

@@ -12,6 +12,7 @@
 // through the gate tree".
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,9 +44,12 @@ struct TimingUndo {
 /// TimingState::snapshot() and reapplied by restore(). Lets a leaf
 /// evaluation start from a memcpy of a previously analyzed baseline
 /// configuration instead of a from-scratch analyze() -- the values are
-/// bit-identical to the analysis the snapshot was taken from.
+/// bit-identical to the analysis the snapshot was taken from. The tracked
+/// circuit delay travels with them, so a restore needs no output rescan.
 struct TimingSnapshot {
   std::vector<SignalTiming> signals;
+  double delay_ps = 0.0;
+  int delay_signal = -1;
   bool empty() const { return signals.empty(); }
 };
 
@@ -168,8 +172,11 @@ class TimingState {
   /// taken.
   void restore(const TimingSnapshot& snap);
 
-  /// Worst arrival over all primary outputs [ps].
-  double circuit_delay_ps() const;
+  /// Worst arrival over all observe points [ps], floored at 0. Tracked
+  /// through every analyze/update/revert/restore rather than rescanned:
+  /// O(1) here, and bit-identical to a rescan of the observe points
+  /// (max does not depend on the order it is taken in).
+  double circuit_delay_ps() const { return delay_ps_; }
 
   double arrival_rise_ps(int signal) const { return sig_.at(signal).at_rise; }
   double arrival_fall_ps(int signal) const { return sig_.at(signal).at_fall; }
@@ -195,6 +202,30 @@ class TimingState {
   /// Recomputes `gate`'s output timing; returns true if anything changed.
   bool recompute_gate(const sim::CircuitConfig& config, int gate, TimingUndo* undo);
 
+  /// The one incremental propagation loop behind both update entry points;
+  /// `downstream_lb_ps` == nullptr disables the abort test.
+  double propagate(const sim::CircuitConfig& config, int gate,
+                   const double* downstream_lb_ps, double ceiling_ps, TimingUndo* undo);
+
+  /// Folds a new value of signal `s` into the tracked circuit delay.
+  void note_signal(std::size_t s) {
+    if (!observe_[s]) return;
+    const double v = std::max(sig_[s].at_rise, sig_[s].at_fall);
+    if (v > delay_ps_ || (v == delay_ps_ && delay_stale_)) {
+      delay_ps_ = v;
+      delay_signal_ = static_cast<int>(s);
+      delay_stale_ = false;
+    } else if (v < delay_ps_ && static_cast<int>(s) == delay_signal_) {
+      delay_stale_ = true;  // the holder dropped: only a rescan knows the new max
+    }
+  }
+
+  /// Rescans the observe points when the tracked maximum is stale.
+  void settle_delay() {
+    if (delay_stale_) rescan_delay();
+  }
+  void rescan_delay();
+
   const netlist::Netlist* netlist_;
   const netlist::FlatNetlist* flat_;  ///< SoA view; hot loops read this.
   const LoadSlicedTables* slices_ = nullptr;  ///< Optional, caller-owned.
@@ -211,15 +242,19 @@ class TimingState {
   std::vector<std::uint32_t> sink_rank_;
   /// Per-gate slice rows, cached from slices_ (empty when detached).
   std::vector<LoadSlicedTables::GateView> slice_views_;
-  /// Scratch of update_after_gate_change_bounded: pending topo ranks as a
-  /// bitmap (bit r = rank r queued). Popping the lowest set bit visits the
-  /// cone in ascending rank -- the exact order of the rank min-heap it
-  /// replaces -- and both exits leave the bitmap all-zero for the next call.
+  /// Scratch of propagate(): pending topo ranks as a bitmap (bit r = rank
+  /// r queued). Popping the lowest set bit visits the cone in ascending
+  /// rank, and both exits leave the bitmap all-zero for the next call.
   std::vector<std::uint64_t> pending_bits_;
-  /// Scratch of update_after_gate_change: queued flag per gate, reused
-  /// across calls (every pop clears its flag, so the vector is all-false
-  /// again when the heap drains -- no per-call allocation).
-  std::vector<bool> queued_;
+  /// Per signal: 1 when it is an observe point (feeds circuit_delay_ps).
+  std::vector<std::uint8_t> observe_;
+  /// Tracked circuit delay. Invariant: every observe arrival is <=
+  /// delay_ps_; unless delay_stale_, delay_ps_ is exactly the rescan value
+  /// and delay_signal_ holds it (-1: the 0 floor). Stale only inside an
+  /// update, after the holder dropped; every public call settles it.
+  double delay_ps_ = 0.0;
+  int delay_signal_ = -1;
+  bool delay_stale_ = false;
 };
 
 /// Per-signal lower bound [ps] on the combinational delay from the signal

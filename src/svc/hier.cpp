@@ -23,31 +23,68 @@ namespace svtox::svc {
 
 namespace {
 
-/// Applies the stitched config's delay repair: from-scratch STA, then
-/// critical-path gates reset to their fastest identity-mapped version
-/// until the constraint holds. Returns the final delay. When
-/// `max_resets` >= 0 the loop gives up as soon as it has reset more gates
-/// than that (callers probing whether a *cheap* repair exists bail out
-/// instead of paying the full walk just to discard it).
+/// One gate's exact leakage term [nA] under a full-signal valuation --
+/// the same table lookup circuit_leakage_from_values_na sums, so
+/// per-partition sums of this term are exact leakage contributions.
+double gate_leakage_na(const netlist::Netlist& netlist,
+                       const std::vector<bool>& values, int gate,
+                       const sim::GateConfig& gc) {
+  return netlist.cell_of(gate).leakage_na(
+      gc.variant, gc.physical_state(sim::local_state(netlist, values, gate)));
+}
+
+}  // namespace
+
 double repair_delay(const netlist::Netlist& netlist, double constraint_ps,
-                    sim::CircuitConfig& config, int& repaired_gates,
-                    int max_resets = -1) {
+                    sim::CircuitConfig& config, int& repaired_gates, int max_resets,
+                    const RepairIncumbent* incumbent) {
   sta::TimingState timing(netlist);
   double delay = timing.analyze(config);
   if (delay <= constraint_ps) return delay;
   const sim::CircuitConfig fastest = sim::fastest_config(netlist);
   const int reset_budget = max_resets >= 0 ? repaired_gates + max_resets
                                            : std::numeric_limits<int>::max();
+  auto is_fast = [&](std::size_t g) {
+    return config[g].variant == fastest[g].variant &&
+           config[g].mapping.logical_to_physical.empty();
+  };
+
+  // Leakage change of resetting each gate, and the bound's two terms:
+  // the leakage with every reset so far applied, and the drops still open.
+  std::vector<double> reset_delta;
+  double leakage_so_far = 0.0;
+  double drops_left = 0.0;
+  if (incumbent != nullptr) {
+    leakage_so_far = incumbent->leakage_na;
+    reset_delta.assign(config.size(), 0.0);
+    for (std::size_t g = 0; g < config.size(); ++g) {
+      if (is_fast(g)) continue;
+      const int gate = static_cast<int>(g);
+      reset_delta[g] = gate_leakage_na(netlist, *incumbent->values, gate, fastest[g]) -
+                       gate_leakage_na(netlist, *incumbent->values, gate, config[g]);
+      drops_left += std::min(0.0, reset_delta[g]);
+    }
+  }
+  auto reset = [&](std::size_t g) {
+    config[g] = fastest[g];
+    ++repaired_gates;
+    if (incumbent != nullptr) {
+      leakage_so_far += reset_delta[g];
+      drops_left -= std::min(0.0, reset_delta[g]);
+    }
+  };
+  auto lost = [&] {
+    return incumbent != nullptr &&
+           leakage_so_far + drops_left >= incumbent->incumbent_na * (1.0 + 1e-9);
+  };
+
   for (int round = 0; delay > constraint_ps; ++round) {
     if (repaired_gates > reset_budget) return delay;
     bool changed = false;
     if (round < 256) {
       for (int g : timing.critical_path(config)) {
-        sim::GateConfig& gc = config[static_cast<std::size_t>(g)];
-        const sim::GateConfig& fast = fastest[static_cast<std::size_t>(g)];
-        if (gc.variant != fast.variant || !gc.mapping.logical_to_physical.empty()) {
-          gc = fast;
-          ++repaired_gates;
+        if (!is_fast(static_cast<std::size_t>(g))) {
+          reset(static_cast<std::size_t>(g));
           changed = true;
         }
       }
@@ -57,18 +94,18 @@ double repair_delay(const netlist::Netlist& netlist, double constraint_ps,
       // backtracked path) or the loop is taking too long: fall back to the
       // all-fast configuration, which meets any constraint >= fast delay.
       for (std::size_t g = 0; g < config.size(); ++g) {
-        if (config[g].variant != fastest[g].variant ||
-            !config[g].mapping.logical_to_physical.empty()) {
-          config[g] = fastest[g];
-          ++repaired_gates;
-        }
+        if (!is_fast(g)) reset(g);
       }
+      if (lost()) return kRepairAbandoned;
       return timing.analyze(config);
     }
+    if (lost()) return kRepairAbandoned;
     delay = timing.analyze(config);
   }
   return delay;
 }
+
+namespace {
 
 /// Parses one cone job's result against the exact netlist the job was
 /// solved on (read_bench of the same text with the content-hash name, so
@@ -90,16 +127,6 @@ opt::Solution parse_cone_solution(const netlist::Netlist& netlist,
     throw ContractError("optimize_hierarchical: cone solution shape mismatch");
   }
   return sub;
-}
-
-/// One gate's exact leakage term [nA] under a full-signal valuation --
-/// the same table lookup circuit_leakage_from_values_na sums, so
-/// per-partition sums of this term are exact leakage contributions.
-double gate_leakage_na(const netlist::Netlist& netlist,
-                       const std::vector<bool>& values, int gate,
-                       const sim::GateConfig& gc) {
-  return netlist.cell_of(gate).leakage_na(
-      gc.variant, gc.physical_state(sim::local_state(netlist, values, gate)));
 }
 
 /// The "arrival:slew,..." boundary-timing string for one cone: measured
@@ -471,10 +498,13 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
       if (trial_delay > out.constraint_ps) {
         // The cheap local repair, not a global re-assignment: an
         // over-repaired trial simply fails the exact leakage check below,
-        // and a no-progress pass stays at simulation + repair cost even
+        // and one that provably will is abandoned mid-repair, so a
+        // no-progress pass stays at simulation + partial repair cost even
         // on the largest circuits.
-        trial_delay =
-            repair_delay(netlist, out.constraint_ps, trial, trial_repaired);
+        const RepairIncumbent bound{&trial_values, trial_leakage, leakage};
+        trial_delay = repair_delay(netlist, out.constraint_ps, trial, trial_repaired,
+                                   -1, &bound);
+        if (trial_delay == kRepairAbandoned) continue;
         trial_leakage =
             sim::circuit_leakage_from_values_na(netlist, trial, trial_values);
         if (trial_leakage >= leakage) continue;

@@ -47,7 +47,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "netlist/netlist.hpp"
 #include "opt/partition.hpp"
@@ -124,5 +126,34 @@ struct HierResult {
 /// assignment). Throws on cone-job failures and invalid options.
 HierResult optimize_hierarchical(const netlist::Netlist& netlist,
                                  const HierOptions& options = {});
+
+/// Lets a repair give up once it can no longer end below an incumbent.
+struct RepairIncumbent {
+  const std::vector<bool>* values;  ///< Valuation of the config under repair.
+  double leakage_na;                ///< Its leakage before the repair.
+  double incumbent_na;              ///< The leakage it has to beat.
+};
+
+/// repair_delay's result when a RepairIncumbent proved it lost.
+inline constexpr double kRepairAbandoned = std::numeric_limits<double>::infinity();
+
+/// The flow's local delay repair: from-scratch STA, then critical-path
+/// gates reset to their fastest identity-mapped version until the
+/// constraint holds. Returns the final delay. When `max_resets` >= 0 the
+/// loop gives up as soon as it has reset more gates than that (callers
+/// probing whether a *cheap* repair exists bail out instead of paying the
+/// full walk just to discard it).
+///
+/// With `incumbent`, the loop also carries a lower bound on the leakage
+/// it will end at: the pre-repair leakage, plus the change of every gate
+/// reset so far, plus every leakage drop a not-yet-reset gate could still
+/// contribute (a repair only ever resets non-fast gates, each at most
+/// once). Once that bound reaches the incumbent the finished repair would
+/// be rejected anyway, so it returns kRepairAbandoned instead. The
+/// relative 1e-9 margin covers the rounding gap between the bound's sums
+/// and the exact leakage sum the caller would compare.
+double repair_delay(const netlist::Netlist& netlist, double constraint_ps,
+                    sim::CircuitConfig& config, int& repaired_gates, int max_resets = -1,
+                    const RepairIncumbent* incumbent = nullptr);
 
 }  // namespace svtox::svc

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "netlist/benchmarks.hpp"
 #include "netlist/generators.hpp"
 #include "opt/state_search.hpp"
 #include "sim/leakage_eval.hpp"
@@ -34,6 +37,86 @@ TEST(Problem, ConstraintInterpolatesBudget) {
   EXPECT_GT(p25.constraint_ps(), p5.constraint_ps());
   EXPECT_GE(p5.constraint_ps(), p5.budget().fast_delay_ps);
   EXPECT_THROW(AssignmentProblem(n, 1.5), ContractError);
+}
+
+/// The input ordering as first specified: one DFS per control point over
+/// the pointer API counting the gates in its transitive fanout, then a
+/// stable sort by descending count. AssignmentProblem ranks inputs with a
+/// word-parallel pass instead; the two must agree exactly.
+std::vector<int> reference_input_order(const netlist::Netlist& n) {
+  std::vector<int> cone_size(static_cast<std::size_t>(n.num_control_points()), 0);
+  for (int i = 0; i < n.num_control_points(); ++i) {
+    std::vector<bool> reached(static_cast<std::size_t>(n.num_gates()), false);
+    std::vector<int> stack;
+    auto push_sinks = [&](int signal) {
+      for (const netlist::Sink& sink : n.sinks(signal)) {
+        if (!reached[static_cast<std::size_t>(sink.gate)]) {
+          reached[static_cast<std::size_t>(sink.gate)] = true;
+          stack.push_back(sink.gate);
+        }
+      }
+    };
+    push_sinks(n.control_points()[static_cast<std::size_t>(i)]);
+    int count = 0;
+    while (!stack.empty()) {
+      const int g = stack.back();
+      stack.pop_back();
+      ++count;
+      push_sinks(n.gate(g).output);
+    }
+    cone_size[static_cast<std::size_t>(i)] = count;
+  }
+  std::vector<int> order(cone_size.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return cone_size[static_cast<std::size_t>(a)] > cone_size[static_cast<std::size_t>(b)];
+  });
+  return order;
+}
+
+TEST(Problem, InputOrderMatchesPerInputDfs) {
+  std::vector<netlist::Netlist> nets;
+  // 1, 64, 65 and 300 control points: one lane, exactly one word, one
+  // lane spilling into a second word, and several words.
+  {
+    netlist::Netlist single("order_single", &lib());
+    const int in = single.add_signal("in");
+    single.mark_input(in);
+    int prev = in;
+    for (int i = 0; i < 12; ++i) {
+      const int out = single.add_signal("n" + std::to_string(i));
+      if (i % 3 == 2) {
+        single.add_gate("g" + std::to_string(i), "NAND2", {prev, in}, out);
+      } else {
+        single.add_gate("g" + std::to_string(i), "INV", {prev}, out);
+      }
+      prev = out;
+    }
+    single.mark_output(prev);
+    single.finalize();
+    nets.push_back(std::move(single));
+  }
+  for (int inputs : {64, 65, 300}) {
+    netlist::DagOptions dag;
+    dag.num_inputs = inputs;
+    dag.num_gates = 1500;
+    dag.target_depth = 20;
+    dag.seed = 40 + static_cast<std::uint64_t>(inputs);
+    nets.push_back(netlist::random_dag(lib(), "order_dag", dag));
+  }
+  for (std::uint64_t seed : {51ULL, 52ULL}) nets.push_back(random_net(seed, 14, 120));
+  for (const char* name : {"c432", "c880", "c1908", "c6288"}) {
+    nets.push_back(netlist::make_benchmark(name, lib()));
+  }
+  // Flip-flop outputs are control points too.
+  nets.push_back(netlist::sequential_pipeline(lib(), "order_seq", 8, 3, 60, 13));
+  ASSERT_TRUE(nets.back().is_sequential());
+
+  for (const netlist::Netlist& n : nets) {
+    SCOPED_TRACE(n.name() + " (" + std::to_string(n.num_control_points()) + " cps)");
+    const AssignmentProblem problem(n, 0.05);
+    EXPECT_EQ(problem.input_order(), reference_input_order(n));
+  }
 }
 
 TEST(Problem, MenusAreSortedAscendingByLeakage) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
+#include "netlist/benchmarks.hpp"
 #include "netlist/generators.hpp"
 #include "sim/leakage_eval.hpp"
 #include "sta/sta.hpp"
@@ -262,6 +264,145 @@ TEST(Sta, BoundedUpdateMatchesPlainWhenNoAbort) {
     }
     break;  // one abort exercise is enough; the loop just finds a covered gate
   }
+}
+
+/// circuit_delay_ps() as the plain rescan of every observe point.
+double rescanned_delay_ps(const netlist::Netlist& n, const TimingState& timing) {
+  double worst = 0.0;
+  for (int s : n.observe_points()) {
+    worst = std::max({worst, timing.arrival_rise_ps(s), timing.arrival_fall_ps(s)});
+  }
+  return worst;
+}
+
+/// Drives a random mix of every state-changing TimingState call and checks
+/// after each one that the tracked circuit delay bit-equals a rescan.
+/// Reverts follow the LIFO contract: an undo stack mirrors the updates and
+/// is dropped whenever analyze/restore/an unlogged update invalidates it.
+void check_tracked_delay(const netlist::Netlist& n, std::uint64_t seed, int steps) {
+  const std::vector<double> down_lb = downstream_delay_lower_bounds_ps(n);
+  const LoadSlicedTables slices(n);
+  sim::CircuitConfig config = sim::fastest_config(n);
+  TimingState timing(n);
+  timing.use_load_slices(&slices);
+  timing.analyze(config);
+
+  struct Logged {
+    TimingUndo undo;
+    int gate;
+    int prev_variant;
+  };
+  std::vector<Logged> stack;
+  TimingSnapshot snap;
+  sim::CircuitConfig snap_config = config;
+  timing.snapshot(snap);
+
+  Rng rng(seed);
+  int aborts = 0, drops = 0;
+  for (int step = 0; step < steps; ++step) {
+    const double before = timing.circuit_delay_ps();
+    const std::uint64_t op = rng.next_below(100);
+    // Changing the gate that drives the critical output is what moves the
+    // tracked maximum's holder down, so a third of the changes aim there.
+    auto pick_gate = [&] {
+      if (rng.next_below(3) == 0) {
+        const std::vector<int> path = timing.critical_path(config);
+        if (!path.empty()) return path.front();
+      }
+      return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n.num_gates())));
+    };
+    auto change = [&](int g) {
+      const int prev = config[static_cast<std::size_t>(g)].variant;
+      config[static_cast<std::size_t>(g)].variant = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(n.cell_of(g).num_variants())));
+      return prev;
+    };
+    double returned = -1.0;  // what the op returned, if it returns a delay
+    if (op < 35) {  // logged update
+      const int g = pick_gate();
+      Logged entry{TimingUndo{}, g, change(g)};
+      returned = timing.update_after_gate_change(config, g, &entry.undo);
+      stack.push_back(std::move(entry));
+    } else if (op < 60) {  // bounded update, ceiling near the current delay
+      const int g = pick_gate();
+      Logged entry{TimingUndo{}, g, change(g)};
+      const double ceiling =
+          before * (0.97 + 0.06 * static_cast<double>(rng.next_below(1000)) / 1000.0);
+      const double d =
+          timing.update_after_gate_change_bounded(config, g, down_lb, ceiling, &entry.undo);
+      if (d == 1e300) {
+        ++aborts;
+        returned = timing.circuit_delay_ps();
+      } else {
+        returned = d;
+      }
+      stack.push_back(std::move(entry));
+    } else if (op < 85) {  // revert the latest update
+      if (!stack.empty()) {
+        timing.revert(stack.back().undo);
+        config[static_cast<std::size_t>(stack.back().gate)].variant =
+            stack.back().prev_variant;
+        stack.pop_back();
+      }
+    } else if (op < 88) {  // unlogged update
+      const int g = pick_gate();
+      change(g);
+      returned = timing.update_after_gate_change(config, g, nullptr);
+      stack.clear();
+    } else if (op < 92) {  // snapshot / restore
+      if (rng.next_bool()) {
+        timing.snapshot(snap);
+        snap_config = config;
+      } else {
+        timing.restore(snap);
+        config = snap_config;
+        stack.clear();
+      }
+    } else if (op < 96) {  // full analysis
+      returned = timing.analyze(config);
+      stack.clear();
+    } else {  // new boundary seeds (or back to defaults), then analyze
+      BoundaryTiming boundary;
+      if (rng.next_bool()) {
+        for (int i = 0; i < n.num_control_points(); ++i) {
+          boundary.points.push_back({static_cast<double>(rng.next_below(300)),
+                                     static_cast<double>(rng.next_below(60))});
+        }
+      }
+      timing.set_boundary(boundary);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(timing.circuit_delay_ps()),
+                std::bit_cast<std::uint64_t>(before));
+      returned = timing.analyze(config);
+      stack.clear();
+    }
+    const double tracked = timing.circuit_delay_ps();
+    if (tracked < before) ++drops;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(tracked),
+              std::bit_cast<std::uint64_t>(rescanned_delay_ps(n, timing)))
+        << "step " << step << " op " << op;
+    if (returned != -1.0) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(returned), std::bit_cast<std::uint64_t>(tracked))
+          << "step " << step << " op " << op;
+    }
+  }
+  // The sequence must have exercised the paths that matter.
+  EXPECT_GT(aborts, 0);
+  EXPECT_GT(drops, 0);
+}
+
+TEST(Sta, TrackedDelayEqualsRescanOnWideDag) {
+  netlist::DagOptions dag;
+  dag.num_inputs = 128;
+  dag.num_gates = 12000;
+  dag.target_depth = 30;
+  dag.seed = 67;
+  const netlist::Netlist n = netlist::random_dag(lib(), "sta_wide", dag);
+  ASSERT_GT(n.observe_points().size(), 2000u);
+  check_tracked_delay(n, 67, 600);
+}
+
+TEST(Sta, TrackedDelayEqualsRescanOnC432) {
+  check_tracked_delay(netlist::make_benchmark("c432", lib()), 71, 600);
 }
 
 TEST(DelayBudget, EndpointsAndInterpolation) {
