@@ -27,6 +27,13 @@ struct Table2Case {
   int two_point_versions;
 };
 
+// Without a printer gtest dumps the struct's bytes, including the address
+// of `cell`, into the discovered test name, which then changes per build.
+void PrintTo(const Table2Case& c, std::ostream* os) {
+  *os << "{" << c.cell << ", " << c.four_point_versions << ", " << c.two_point_versions
+      << "}";
+}
+
 class Table2 : public ::testing::TestWithParam<Table2Case> {};
 
 TEST_P(Table2, VersionCountsMatchPaper) {
