@@ -10,21 +10,12 @@
 //
 // Knobs: SVTOX_CIRCUITS / SVTOX_VECTORS / SVTOX_TIME_LIMIT (bench/common.hpp)
 // shrink the manifest for smoke runs; argv[1] overrides the output path.
-// A transport-latency appendix compares the two daemon front ends: the
-// same `stats` round trip over the Unix socket (NDJSON) and over TCP
-// loopback (length-prefixed frames), mean/median over a few hundred
-// pings. This prices the framing + loopback-TCP overhead a --peers
-// cluster pays per RPC.
-#include <unistd.h>
-
 #include <algorithm>
 #include <thread>
 
 #include "bench/common.hpp"
-#include "svc/client.hpp"
 #include "svc/json.hpp"
 #include "svc/scheduler.hpp"
-#include "svc/server.hpp"
 
 namespace {
 
@@ -87,38 +78,6 @@ PassResult run_pass(svc::Scheduler& scheduler,
                                : static_cast<double>(pass.hits) /
                                      static_cast<double>(lookups);
   return pass;
-}
-
-struct LatencyResult {
-  double mean_us = 0.0;
-  double median_us = 0.0;
-  double p99_us = 0.0;
-};
-
-/// Mean/median/p99 of `rounds` stats round trips through `client`.
-LatencyResult measure_round_trips(svc::Client& client, int rounds) {
-  std::vector<double> samples;
-  samples.reserve(rounds);
-  for (int i = 0; i < rounds; ++i) {
-    Timer timer;
-    client.stats();
-    samples.push_back(timer.seconds() * 1e6);
-  }
-  std::sort(samples.begin(), samples.end());
-  LatencyResult result;
-  for (const double s : samples) result.mean_us += s;
-  result.mean_us /= samples.size();
-  result.median_us = samples[samples.size() / 2];
-  result.p99_us = samples[samples.size() * 99 / 100];
-  return result;
-}
-
-svc::Json latency_json(const LatencyResult& latency) {
-  svc::Json json = svc::Json::object();
-  json.set("mean_us", latency.mean_us);
-  json.set("median_us", latency.median_us);
-  json.set("p99_us", latency.p99_us);
-  return json;
 }
 
 svc::Json pass_json(const PassResult& pass) {
@@ -185,40 +144,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  // --- Transport latency: Unix NDJSON vs framed TCP loopback. -------------
-  svc::Json transports = svc::Json::object();
-  {
-    svc::Scheduler::Options idle_options;
-    idle_options.workers = 1;
-    svc::Scheduler idle(idle_options);
-    svc::ServerOptions server_options;
-    server_options.socket_path =
-        "/tmp/svtox_bench_lat_" + std::to_string(::getpid()) + ".sock";
-    server_options.tcp_port = 0;
-    svc::Server server(idle, server_options);
-    server.start();
-
-    const int rounds = 300;
-    svc::Client unix_client(server_options.socket_path);
-    const LatencyResult unix_latency = measure_round_trips(unix_client, rounds);
-    svc::Client tcp_client("tcp://127.0.0.1:" +
-                           std::to_string(server.tcp_port()));
-    const LatencyResult tcp_latency = measure_round_trips(tcp_client, rounds);
-
-    std::printf("stats round trip (%d rounds): unix %.0f us median, "
-                "tcp %.0f us median (%.2fx)\n",
-                rounds, unix_latency.median_us, tcp_latency.median_us,
-                tcp_latency.median_us / unix_latency.median_us);
-    transports.set("rounds", static_cast<double>(rounds));
-    transports.set("unix", latency_json(unix_latency));
-    transports.set("tcp", latency_json(tcp_latency));
-    transports.set("tcp_over_unix_median_x",
-                   tcp_latency.median_us / unix_latency.median_us);
-
-    server.stop();
-    idle.shutdown(false);
-  }
-
   svc::Json doc = svc::Json::object();
   doc.set("bench", "service_throughput");
   doc.set("jobs", static_cast<double>(manifest.size()));
@@ -231,7 +156,6 @@ int main(int argc, char** argv) {
   doc.set("hardware_threads", static_cast<double>(hw));
   doc.set("runs", svc::Json(std::move(runs)));
   doc.set("warm_over_cold_x", ratios);
-  doc.set("transport_round_trip", transports);
 
   doc.set("svtox_build_type", bench::build_type());
 

@@ -128,11 +128,12 @@ const opt::AssignmentProblem& StandbyOptimizer::problem(Method method,
                                     : problem_for(penalty);
 }
 
-SearchPlan StandbyOptimizer::search_plan(Method method, const RunConfig& config) {
-  SearchPlan plan;
-  // Shared search knobs; per-method cases tweak what differs, mirroring
-  // the dispatch in run() (which consumes this plan, so they cannot drift).
-  opt::SearchOptions& options = plan.options;
+namespace {
+
+/// The search options run() hands the state search for a method: the
+/// shared knobs, with per-method cases tweaking what differs.
+opt::SearchOptions search_options(Method method, const RunConfig& config) {
+  opt::SearchOptions options;
   options.time_limit_s = config.time_limit_s;
   options.gate_order = config.gate_order;
   options.threads = config.threads;
@@ -141,8 +142,6 @@ SearchPlan StandbyOptimizer::search_plan(Method method, const RunConfig& config)
   options.checkpoint_path = config.checkpoint_path;
   options.checkpoint_every_s = config.checkpoint_every_s;
   options.checkpoint_every_leaves = config.checkpoint_every_leaves;
-  options.subtree_prefix = config.subtree_prefix;
-  options.resume_text = config.resume_text;
   options.pinned_inputs = config.pinned_inputs;
 
   switch (method) {
@@ -151,14 +150,10 @@ SearchPlan StandbyOptimizer::search_plan(Method method, const RunConfig& config)
     case Method::kStateOnly:
       options.gate_order = opt::GateOrder::kBySavings;
       options.random_probes = 256;
-      plan.bound_kind = opt::BoundKind::kFastestVariant;
-      plan.state_only = true;
-      plan.splittable = true;
       break;
     case Method::kVtState:
     case Method::kHeu2:
       options.exact_leaves = false;
-      plan.splittable = true;
       break;
     case Method::kHeu1:
       options.max_leaves = 1;
@@ -167,11 +162,12 @@ SearchPlan StandbyOptimizer::search_plan(Method method, const RunConfig& config)
     case Method::kExact:
       options.exact_leaves = true;
       options.time_limit_s = config.time_limit_s > 0 ? config.time_limit_s : 1e9;
-      plan.splittable = true;
       break;
   }
-  return plan;
+  return options;
 }
+
+}  // namespace
 
 MethodResult StandbyOptimizer::run(Method method, const RunConfig& config) {
   Timer timer;
@@ -179,8 +175,7 @@ MethodResult StandbyOptimizer::run(Method method, const RunConfig& config) {
   result.method = method;
 
   const double avg_ua = average_random_leakage_ua(config.random_vectors, config.seed);
-  const SearchPlan plan = search_plan(method, config);
-  const opt::SearchOptions& options = plan.options;
+  const opt::SearchOptions options = search_options(method, config);
 
   switch (method) {
     case Method::kAverageRandom:

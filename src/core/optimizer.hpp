@@ -68,16 +68,6 @@ struct RunConfig {
   std::string checkpoint_path;
   double checkpoint_every_s = 5.0;
   std::uint64_t checkpoint_every_leaves = 64;
-  /// Distributed subtree execution: when non-empty, the state search only
-  /// explores the subtree where input_order positions [0, size) are pinned
-  /// to these values (serial, probe sweep disabled). Ignored by kHeu1 /
-  /// kAverageRandom, which do not run the continued tree search. See
-  /// opt::SearchOptions::subtree_prefix.
-  std::vector<bool> subtree_prefix;
-  /// In-memory checkpoint blob to resume from (overrides the on-disk file
-  /// when it carries more progress) -- the distributed coordinator's
-  /// migration token. See opt::SearchOptions::resume_text.
-  std::string resume_text;
   /// Boundary-aware cone solve (hierarchical flow): when non-empty, one
   /// entry per control point pinning it to a constant (kX = free). The
   /// state search never branches on pinned inputs and the returned sleep
@@ -88,19 +78,6 @@ struct RunConfig {
   /// Changes the delay budget and every leaf's timing, so runs with
   /// different boundaries use distinct cached AssignmentProblems.
   sta::BoundaryTiming boundary;
-};
-
-/// The exact (options, bound kind, state-only) tuple run() hands the state
-/// search for a method. Exposed so the distributed coordinator can compute
-/// checkpoint fingerprints that match what remote workers will compute --
-/// any divergence would silently discard migration tokens.
-struct SearchPlan {
-  opt::SearchOptions options;
-  opt::BoundKind bound_kind = opt::BoundKind::kMinVariant;
-  bool state_only = false;
-  /// False for kAverageRandom and kHeu1: no continued tree search to
-  /// split, so these methods cannot be distributed by subtree.
-  bool splittable = false;
 };
 
 /// Outcome of one method run.
@@ -136,11 +113,7 @@ class StandbyOptimizer {
 
   /// The assignment problem `method` searches at this penalty: the Vt-only
   /// twin for kVtState, the full dual-Vt/dual-Tox problem otherwise.
-  /// Exposed for the distributed coordinator (fingerprints, seed descent).
   const opt::AssignmentProblem& problem(Method method, double penalty);
-
-  /// Mirrors run()'s per-method search setup without running anything.
-  static SearchPlan search_plan(Method method, const RunConfig& config);
 
  private:
   const opt::AssignmentProblem& problem_for(double penalty,

@@ -120,14 +120,8 @@ std::uint64_t search_fingerprint(const AssignmentProblem& problem,
   blob += '|' + std::to_string(static_cast<int>(options.bound_mode));
   blob += '|' + std::to_string(static_cast<int>(bound_kind));
   blob += state_only ? "|state_only" : "|full";
-  // Only appended when restricted, so flat-search fingerprints (and hence
-  // every pre-existing checkpoint file) are unchanged.
-  if (!options.subtree_prefix.empty()) {
-    blob += "|st:";
-    for (const bool bit : options.subtree_prefix) blob += bit ? '1' : '0';
-  }
-  // Same append-when-set rule for the boundary-aware knobs: pinned inputs
-  // and seeded boundary timing both change which leaf wins, but unpinned
+  // The boundary-aware knobs are appended only when set: pinned inputs and
+  // seeded boundary timing both change which leaf wins, but unpinned
   // default-seeded searches keep their historical fingerprints.
   if (!options.pinned_inputs.empty()) {
     blob += "|pin:";

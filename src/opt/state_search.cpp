@@ -215,25 +215,11 @@ class DfsWorker {
     }
     if (!replaying_ && ctx_.out_of_budget()) return;
 
-    const std::vector<bool>& prefix = ctx_.options.subtree_prefix;
-    if (depth < prefix.size()) {
-      // Pinned by the subtree restriction: take the prescribed branch only
-      // -- no sibling, no bound probes, no pruning. A replayed checkpoint
-      // of a restricted search recorded the same branch by construction,
-      // so replay simply continues through here.
-      const int pinned_pi = ctx_.problem.input_order()[depth];
-      engine_.set_input(pinned_pi,
-                        prefix[depth] ? sim::Tri::kOne : sim::Tri::kZero);
-      dfs(depth + 1);
-      engine_.undo();
-      return;
-    }
     if (!ctx_.options.pinned_inputs.empty()) {
       // Pinned to a constant (boundary-aware cone solve): descend the
-      // prescribed value only -- no sibling, no bound probe, no pruning --
-      // exactly like a subtree restriction, but addressed by control-point
-      // index instead of tree depth. A replayed checkpoint of a pinned
-      // search recorded this same branch by construction.
+      // prescribed value only -- no sibling, no bound probe, no pruning.
+      // A replayed checkpoint of a pinned search recorded this same branch
+      // by construction.
       const int pin_pi = ctx_.problem.input_order()[depth];
       const sim::Tri pin =
           ctx_.options.pinned_inputs[static_cast<std::size_t>(pin_pi)];
@@ -513,24 +499,9 @@ Solution run_search(const AssignmentProblem& problem, const SearchOptions& calle
   const bool checkpointing = !options.checkpoint_path.empty();
   const int n = problem.netlist().num_control_points();
 
-  if (!options.subtree_prefix.empty()) {
-    if (options.subtree_prefix.size() > static_cast<std::size_t>(n)) {
-      throw ContractError("subtree_prefix longer than the input count");
-    }
-    // A subtree is one shard of a deterministic split: serial, and no
-    // probe sweep -- the sweep is a whole-tree construct the coordinator
-    // runs once; per-shard it would be duplicated work. Must happen
-    // before the fingerprint below so coordinator-computed fingerprints
-    // (which apply the same overrides) match.
-    options.threads = 1;
-    options.random_probes = 0;
-  }
   if (!options.pinned_inputs.empty()) {
     if (options.pinned_inputs.size() != static_cast<std::size_t>(n)) {
       throw ContractError("pinned_inputs needs one entry per control point");
-    }
-    if (!options.subtree_prefix.empty()) {
-      throw ContractError("pinned_inputs and subtree_prefix are mutually exclusive");
     }
     // Pins shrink the tree to the free inputs. The parallel root split and
     // its packed prescreen enumerate raw top-level prefixes and would flip
@@ -546,48 +517,13 @@ Solution run_search(const AssignmentProblem& problem, const SearchOptions& calle
       log_warn("checkpointing forces a serial state search (threads 1)");
     }
     options.threads = 1;
-  }
-  // Checkpoint replay is a serial construct too.
-  if (!options.resume_text.empty()) options.threads = 1;
-  if (checkpointing || !options.resume_text.empty()) {
     sink.fingerprint = search_fingerprint(problem, options, bound_kind, state_only);
-    std::optional<SearchCheckpoint> from_file;
-    if (checkpointing) {
-      sink.path = options.checkpoint_path;
-      sink.every_s = options.checkpoint_every_s;
-      sink.every_leaves = options.checkpoint_every_leaves;
-      from_file = load_checkpoint_file(options.checkpoint_path, sink.fingerprint);
-    }
-    std::optional<SearchCheckpoint> from_text;
-    if (!options.resume_text.empty()) {
-      try {
-        SearchCheckpoint blob = parse_checkpoint(options.resume_text);
-        if (blob.fingerprint == sink.fingerprint) {
-          from_text = std::move(blob);
-        } else {
-          log_warn("in-memory resume blob is for a different search; ignoring");
-        }
-      } catch (const std::exception& e) {
-        log_warn(std::string("in-memory resume blob unusable (") + e.what() +
-                 "); ignoring");
-      }
-    }
-    // Resuming from any valid snapshot of the same search converges to the
-    // identical result, so when both sources are usable the one with more
-    // progress wins (a finished tree outranks any unfinished one; then
-    // leaf/probe count) -- a speed choice, not a semantic one.
-    const auto progress = [](const SearchCheckpoint& c) {
-      return (c.tree_done ? 1ULL << 62 : 0ULL) + c.leaves + c.probes_done;
-    };
-    if (from_text && from_file) {
-      resume = progress(*from_file) > progress(*from_text)
-                   ? std::move(from_file)
-                   : std::move(from_text);
-    } else {
-      resume = from_text ? std::move(from_text) : std::move(from_file);
-    }
-    // An empty path with an unfinished tree is a seed token (incumbent +
-    // counters, no frontier yet): start from the root, do not replay.
+    sink.path = options.checkpoint_path;
+    sink.every_s = options.checkpoint_every_s;
+    sink.every_leaves = options.checkpoint_every_leaves;
+    resume = load_checkpoint_file(options.checkpoint_path, sink.fingerprint);
+    // An empty path with an unfinished tree means no leaf was recorded
+    // yet: start from the root with the snapshot's counters, no replay.
     if (resume && !resume->tree_done && !resume->path.empty() &&
         resume->path.size() != static_cast<std::size_t>(n)) {
       log_warn("checkpoint path length mismatch; starting fresh");
@@ -615,10 +551,8 @@ Solution run_search(const AssignmentProblem& problem, const SearchOptions& calle
     sink.leaf_path = resume->path;
     sink.nodes_mark = resume->nodes;
     sink.leaves_mark = resume->leaves;
-    log_info("resuming search from " +
-             (options.checkpoint_path.empty() ? std::string("in-memory blob")
-                                              : options.checkpoint_path) +
-             " (" + std::to_string(resume->leaves) + " leaves done)");
+    log_info("resuming search from " + options.checkpoint_path + " (" +
+             std::to_string(resume->leaves) + " leaves done)");
   }
   if (checkpointing) {
     sink.base_elapsed_s = consumed_s;

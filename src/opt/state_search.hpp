@@ -114,16 +114,6 @@ struct SearchOptions {
   /// first (every_leaves = 0 disables the count trigger).
   double checkpoint_every_s = 5.0;
   std::uint64_t checkpoint_every_leaves = 64;
-  /// When non-empty, restricts the search to the subtree of the state tree
-  /// where input_order positions [0, size) are pinned to these values: the
-  /// search descends the prescribed branch at those depths (no sibling, no
-  /// bound probe, no pruning) and explores freely below. Distributed mode
-  /// carves the root frontier into 2^k such subtrees and solves them as
-  /// independent jobs; the min of their incumbents under the deterministic
-  /// tie-break equals a flat search's result when each subtree gets the
-  /// same leaf budget. Forces a serial search and disables the random
-  /// probe sweep (the sweep is a whole-tree construct).
-  std::vector<bool> subtree_prefix;
   /// When non-empty (one entry per control point, by control-point index,
   /// NOT by input_order position), pins control points to constants the
   /// search never branches on: kZero/kOne fix the input's value at every
@@ -133,19 +123,8 @@ struct SearchOptions {
   /// pinned bits of every generated probe (the Rng stream is unchanged, so
   /// free bits match the unpinned sweep's). The hierarchical flow pins a
   /// cone's boundary inputs to their already-stitched upstream values.
-  /// Forces a serial search; mutually exclusive with subtree_prefix.
+  /// Forces a serial search.
   std::vector<sim::Tri> pinned_inputs;
-  /// In-memory checkpoint blob (opt/checkpoint.hpp text format) to resume
-  /// from, used to migrate a subtree between processes without a shared
-  /// filesystem. Must carry the search's fingerprint. When both this and
-  /// an on-disk checkpoint (checkpoint_path) are present and valid, the
-  /// one with more progress wins -- resuming from *any* valid snapshot of
-  /// the same search converges to the identical result, so the choice
-  /// affects speed, not the answer. An empty `path` in the blob is
-  /// allowed and means "no leaf recorded yet": the search starts from the
-  /// root with the blob's incumbent/counters seeded (distributed seed
-  /// tokens).
-  std::string resume_text;
 };
 
 /// Heuristic 1: single downward traversal (paper Sec. 5).

@@ -11,8 +11,6 @@
 #include <cstring>
 #include <thread>
 
-#include "net/conn.hpp"
-#include "net/frame.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/timer.hpp"
@@ -56,37 +54,20 @@ const Json& check_ok(const Json& reply) {
   return reply;
 }
 
-constexpr std::string_view kTcpPrefix = "tcp://";
-
 }  // namespace
-
-int Client::connect_fd() const {
-  if (tcp_) {
-    SVTOX_FAIL_POINT("client_connect");
-    return net::connect_tcp(tcp_host_, tcp_port_, options_.connect_timeout_s);
-  }
-  return connect_unix(address_);
-}
 
 Client::Client(const std::string& address, const ClientOptions& options)
     : options_(options),
       address_(address),
       jitter_(static_cast<std::uint64_t>(
           std::chrono::steady_clock::now().time_since_epoch().count())) {
-  if (address_.rfind(kTcpPrefix, 0) == 0) {
-    tcp_ = true;
-    const net::TcpAddress parsed =
-        net::parse_tcp_address(address_.substr(kTcpPrefix.size()));
-    tcp_host_ = parsed.host;
-    tcp_port_ = parsed.port;
-  }
   const int attempts = std::max(1, options_.max_attempts);
   const Deadline deadline(options_.total_deadline_s > 0.0
                               ? options_.total_deadline_s
                               : 1e18);
   for (int attempt = 0;; ++attempt) {
     try {
-      fd_ = connect_fd();
+      fd_ = connect_unix(address_);
       return;
     } catch (const Error&) {
       if (attempt + 1 >= attempts || deadline.remaining() <= 0.0) throw;
@@ -121,12 +102,7 @@ void Client::backoff_sleep(int attempt, double cap_s) {
 
 void Client::send_request(const std::string& payload) {
   SVTOX_FAIL_POINT("client_send");
-  std::string wire;
-  if (tcp_) {
-    net::encode_frame(wire, payload);
-  } else {
-    wire = payload + "\n";
-  }
+  const std::string wire = payload + "\n";
   std::size_t sent = 0;
   while (sent < wire.size()) {
     const ssize_t n = ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
@@ -144,20 +120,11 @@ Json Client::read_reply() {
                               ? options_.request_timeout_s
                               : 1e18);
   for (;;) {
-    if (tcp_) {
-      // Oversized headers throw Error(kParse): the stream is torn and the
-      // caller drops the connection.
-      std::string payload;
-      if (net::extract_frame(pending_, payload, net::kMaxReplyFrameBytes)) {
-        return Json::parse(payload);
-      }
-    } else {
-      const std::size_t newline = pending_.find('\n');
-      if (newline != std::string::npos) {
-        const std::string reply = pending_.substr(0, newline);
-        pending_.erase(0, newline + 1);
-        return Json::parse(reply);
-      }
+    const std::size_t newline = pending_.find('\n');
+    if (newline != std::string::npos) {
+      const std::string reply = pending_.substr(0, newline);
+      pending_.erase(0, newline + 1);
+      return Json::parse(reply);
     }
     SVTOX_FAIL_POINT("client_recv");
     if (options_.request_timeout_s > 0.0) {
@@ -196,7 +163,7 @@ Json Client::request(const Json& request_json) {
     try {
       if (fd_ < 0) {
         pending_.clear();
-        fd_ = connect_fd();
+        fd_ = connect_unix(address_);
       }
       send_request(payload);
       return read_reply();
@@ -275,15 +242,7 @@ void Client::shutdown(bool drain) {
 
 bool Client::ping(const std::string& address) {
   try {
-    int fd;
-    if (address.rfind(kTcpPrefix, 0) == 0) {
-      const net::TcpAddress parsed =
-          net::parse_tcp_address(address.substr(kTcpPrefix.size()));
-      fd = net::connect_tcp(parsed.host, parsed.port);
-    } else {
-      fd = connect_unix(address);
-    }
-    ::close(fd);
+    ::close(connect_unix(address));
     return true;
   } catch (const std::exception&) {
     return false;

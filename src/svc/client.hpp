@@ -1,18 +1,14 @@
 // Client side of the svtoxd wire protocol: a blocking one-request /
-// one-reply channel, plus the typed convenience calls `svtox batch` uses.
-//
-// Two transports behind one address string:
-//   "/path/to.sock"      -- NDJSON over a Unix-domain socket.
-//   "tcp://host:port"    -- length-prefixed frames over TCP (src/net).
+// one-reply channel over the daemon's Unix-domain socket (NDJSON), plus
+// the typed convenience calls `svtox batch` uses.
 //
 // Transport failures (connect refused, connection dropped mid-round-trip)
 // surface as util::Error(kIo) and are retried internally with exponential
 // backoff + jitter and a fresh connection, up to ClientOptions::
-// max_attempts -- this covers a TCP daemon that has not bound its port
-// yet (ECONNREFUSED) exactly like a missing Unix socket. Retrying a round
-// trip whose request was already delivered gives *at-least-once*
-// semantics: a resent "submit" may enqueue a second job (the scheduler's
-// solution cache dedups the actual solve). Reply timeouts surface as
+// max_attempts -- this covers a daemon that has not bound its socket yet
+// (ENOENT / ECONNREFUSED). Retrying a round trip whose request was already
+// delivered gives *at-least-once* semantics: a resent "submit" may enqueue
+// a second job (the scheduler's solution cache dedups the actual solve). Reply timeouts surface as
 // Error(kTimeout) and are never retried -- the daemon may still be
 // executing the request. A daemon at capacity replies error_code "busy";
 // submit() retries those with the same backoff schedule.
@@ -35,10 +31,6 @@ struct ClientOptions {
   /// throws Error(kTimeout) and the connection is dropped (the next
   /// request reconnects).
   double request_timeout_s = 0.0;
-  /// Per-attempt TCP connect(2) bound; 0 = the kernel default (which can
-  /// be minutes against a blackholed host). Unix sockets connect
-  /// instantly and ignore this.
-  double connect_timeout_s = 0.0;
   /// Wall-clock budget across ALL attempts of one operation (the
   /// constructor's connect loop, or one request() including its retries);
   /// 0 = unbounded. When the budget runs out the last transport error is
@@ -49,9 +41,9 @@ struct ClientOptions {
 
 class Client {
  public:
-  /// Connects to a running svtoxd at `address` -- a Unix socket path or
-  /// "tcp://host:port" -- with retry/backoff per `options`; throws
-  /// Error(kIo) when the daemon cannot be reached.
+  /// Connects to a running svtoxd at the Unix socket path `address` with
+  /// retry/backoff per `options`; throws Error(kIo) when the daemon cannot
+  /// be reached.
   explicit Client(const std::string& address,
                   const ClientOptions& options = ClientOptions());
   ~Client();
@@ -76,13 +68,12 @@ class Client {
   Json stats();
   void shutdown(bool drain = true);
 
-  /// True when a daemon accepts connections on `address` (either form).
+  /// True when a daemon accepts connections on `address`.
   static bool ping(const std::string& address);
 
   const std::string& address() const { return address_; }
 
  private:
-  int connect_fd() const;
   void send_request(const std::string& payload);
   Json read_reply();
   void drop_connection();
@@ -91,9 +82,6 @@ class Client {
 
   ClientOptions options_;
   std::string address_;
-  bool tcp_ = false;
-  std::string tcp_host_;
-  int tcp_port_ = 0;
   int fd_ = -1;
   std::string pending_;  ///< Bytes read past the last complete reply.
   Rng jitter_;           ///< Backoff jitter stream (seeded per client).

@@ -108,13 +108,8 @@ std::string cache_key(std::uint64_t library_fp, std::uint64_t netlist_fp,
   h.u64(knobs.seed);
   h.i64(knobs.search_threads);
   h.u64(knobs.max_leaves);
-  // Fed only when set, so every pre-existing flat key (and the disk cache
-  // built from them) is unchanged.
-  if (knobs.subtrees != 0 || !knobs.subtree_prefix.empty()) {
-    h.str("dist");
-    h.i64(knobs.subtrees);
-    h.str(knobs.subtree_prefix);
-  }
+  // Fed only when set, so every pre-existing context-free key (and the
+  // disk cache built from them) is unchanged.
   if (!knobs.pinned_inputs.empty() || !knobs.boundary_timing.empty()) {
     h.str("hier");
     h.str(knobs.pinned_inputs);

@@ -65,14 +65,6 @@ struct RunKnobs {
   std::uint64_t seed = 0;
   int search_threads = 1;    ///< Time-limited searches are thread-sensitive.
   std::uint64_t max_leaves = 0;  ///< Deterministic leaf budget (0 = none).
-  /// Distributed split count (0 = flat). A distributed run explores a
-  /// different node set than a flat one (per-subtree budgets, no probe
-  /// sweep inside shards), so it must not alias the flat entry.
-  int subtrees = 0;
-  /// '0'/'1' subtree restriction bits for one shard of a distributed run
-  /// (empty = whole tree). Keyed so every shard gets its own cache entry
-  /// and checkpoint file.
-  std::string subtree_prefix;
   /// Boundary-aware cone solve (hierarchical flow): the '0'/'1'/'x'
   /// pinned-input string and the "arrival:slew,..." boundary-timing seeds.
   /// Both change the solution, so cones solved under different stitched

@@ -59,8 +59,7 @@ JobSpec job_spec_from_json(const Json& json) {
   static const char* kKnown[] = {
       "circuit", "bench", "bench_text", "nitrided", "two_point", "uniform_stack", "vt_only",
       "method", "penalty", "time_limit", "vectors", "seed", "threads",
-      "max_leaves", "subtrees", "subtree_prefix", "resume_text",
-      "pins", "boundary",
+      "max_leaves", "pins", "boundary",
       "priority", "deadline", "cache", "retries", "label"};
   for (const auto& [key, value] : json.as_object()) {
     (void)value;
@@ -84,9 +83,6 @@ JobSpec job_spec_from_json(const Json& json) {
   spec.seed = static_cast<std::uint64_t>(number_field(json, "seed", 2004));
   spec.search_threads = static_cast<int>(number_field(json, "threads", 1));
   spec.max_leaves = static_cast<std::uint64_t>(number_field(json, "max_leaves", 0));
-  spec.subtrees = static_cast<int>(number_field(json, "subtrees", 0));
-  spec.subtree_prefix = string_field(json, "subtree_prefix", "");
-  spec.resume_text = string_field(json, "resume_text", "");
   spec.pinned_inputs = string_field(json, "pins", "");
   spec.boundary_timing = string_field(json, "boundary", "");
   spec.priority = static_cast<int>(number_field(json, "priority", 0));
@@ -120,47 +116,9 @@ void validate_job_spec(const JobSpec& spec) {
   if (spec.retries < 0 || spec.retries > 10) {
     throw ContractError("retries must be in [0, 10]");
   }
-  const bool tree_method = spec.method == "state" || spec.method == "vtstate" ||
-                           spec.method == "heu2" || spec.method == "exact";
-  if (spec.subtrees != 0) {
-    if (spec.subtrees < 2 || spec.subtrees > 1024) {
-      throw ContractError("subtrees must be in [2, 1024] (or 0 for flat)");
-    }
-    if (!tree_method) {
-      throw ContractError(
-          "subtrees requires a tree-search method (state|vtstate|heu2|exact)");
-    }
-    if (spec.max_leaves == 0 && spec.method != "exact") {
-      throw ContractError(
-          "distributed " + spec.method +
-          " needs a max_leaves budget (wall-clock budgets are not "
-          "node-count-reproducible)");
-    }
-    if (!spec.subtree_prefix.empty()) {
-      throw ContractError("subtrees and subtree_prefix are mutually exclusive");
-    }
-  }
-  if (!spec.subtree_prefix.empty()) {
-    if (!tree_method) {
-      throw ContractError("subtree_prefix requires a tree-search method");
-    }
-    if (spec.subtree_prefix.size() > 64 ||
-        spec.subtree_prefix.find_first_not_of("01") != std::string::npos) {
-      throw ContractError("subtree_prefix must be 1-64 chars of '0'/'1'");
-    }
-  }
-  if (!spec.resume_text.empty() && !tree_method) {
-    throw ContractError("resume_text requires a tree-search method");
-  }
   if (!spec.pinned_inputs.empty()) {
     if (spec.pinned_inputs.find_first_not_of("01x") != std::string::npos) {
       throw ContractError("pins must be '0'/'1'/'x' chars, one per control point");
-    }
-    if (spec.subtrees != 0 || !spec.subtree_prefix.empty() ||
-        !spec.resume_text.empty()) {
-      throw ContractError(
-          "pins cannot combine with the distributed subtree knobs "
-          "(a pinned search is serial)");
     }
     if (spec.method == "average") {
       throw ContractError("pins require a method that searches the state tree");
@@ -187,9 +145,6 @@ Json job_spec_to_json(const JobSpec& spec) {
   json.set("seed", spec.seed);
   json.set("threads", spec.search_threads);
   if (spec.max_leaves != 0) json.set("max_leaves", spec.max_leaves);
-  if (spec.subtrees != 0) json.set("subtrees", spec.subtrees);
-  if (!spec.subtree_prefix.empty()) json.set("subtree_prefix", spec.subtree_prefix);
-  if (!spec.resume_text.empty()) json.set("resume_text", spec.resume_text);
   if (!spec.pinned_inputs.empty()) json.set("pins", spec.pinned_inputs);
   if (!spec.boundary_timing.empty()) json.set("boundary", spec.boundary_timing);
   if (spec.priority != 0) json.set("priority", spec.priority);
@@ -263,9 +218,6 @@ Json job_result_to_json(const JobResult& result, bool include_solution) {
   if (include_solution && !result.solution_text.empty()) {
     json.set("solution", result.solution_text);
   }
-  if (include_solution && !result.checkpoint_text.empty()) {
-    json.set("checkpoint", result.checkpoint_text);
-  }
   return json;
 }
 
@@ -293,7 +245,6 @@ JobResult job_result_from_json(const Json& json) {
   result.cache_hit = bool_field(json, "cache_hit", false);
   result.interrupted = bool_field(json, "interrupted", false);
   result.solution_text = string_field(json, "solution", "");
-  result.checkpoint_text = string_field(json, "checkpoint", "");
   result.label = string_field(json, "label", "");
   return result;
 }

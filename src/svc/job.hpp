@@ -56,30 +56,11 @@ struct JobSpec {
   /// checkpointed resumes.
   std::uint64_t max_leaves = 0;
 
-  // --- Distributed tree search. ----------------------------------------
-  /// When >= 2, the scheduler runs this job as a *coordinator*: it splits
-  /// the state tree's top ceil(log2(subtrees)) levels into fixed-prefix
-  /// subtree jobs, solves them locally and on the daemon's --peers over
-  /// TCP (SearchCheckpoint blobs as migration tokens), and merges the
-  /// incumbents deterministically -- the result is a pure function of the
-  /// spec, independent of the node count. Requires a tree-splittable
-  /// method (state|vtstate|heu2|exact) and, for byte-reproducibility, a
-  /// max_leaves budget (exact is inherently deterministic without one).
-  int subtrees = 0;
-  /// Internal (coordinator -> worker): restricts the search to the subtree
-  /// with input_order positions [0, n) pinned to these '0'/'1' chars.
-  /// Mutually exclusive with `subtrees`.
-  std::string subtree_prefix;
-  /// Internal: checkpoint blob the worker seeds/resumes its subtree search
-  /// from (the migration token; opt/checkpoint.hpp text format).
-  std::string resume_text;
-
   // --- Boundary-aware cone solve (hierarchical flow). ------------------
   /// One char per control point of the resolved netlist: '0'/'1' pin the
   /// input to that constant (the search never branches on it and the
   /// returned sleep vector carries the value verbatim), 'x' leaves it
-  /// free. Empty = no pins. JSON key "pins". Mutually exclusive with the
-  /// distributed subtree knobs (pins force a serial search).
+  /// free. Empty = no pins. JSON key "pins". Pins force a serial search.
   std::string pinned_inputs;
   /// Per-control-point upstream timing seeds as comma-separated
   /// "<arrival_ps>:<slew_ps>" pairs (one per control point, netlist
@@ -140,13 +121,6 @@ struct JobResult {
   bool interrupted = false;  ///< Best-so-far due to cancel/deadline.
   std::string solution_text; ///< core::write_solution output; empty for
                              ///< the average baseline.
-  /// Final SearchCheckpoint blob of a subtree job (spec.subtree_prefix
-  /// set). A finished shard synthesizes a tree_done token (fingerprint 0;
-  /// the coordinator knows which search it asked for and completes without
-  /// a fingerprint check). A cancelled shard instead carries the search's
-  /// final on-disk snapshot verbatim -- real fingerprint, frontier path --
-  /// which is resume material, not a result.
-  std::string checkpoint_text;
   std::string label;
 };
 

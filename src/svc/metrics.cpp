@@ -1,7 +1,5 @@
 #include "svc/metrics.hpp"
 
-#include <cstdio>
-
 namespace svtox::svc {
 
 namespace {
@@ -21,20 +19,10 @@ void sample(std::string& out, const std::string& name, const std::string& labels
   out += name + "{" + labels + "} " + std::to_string(value) + "\n";
 }
 
-void sample_f(std::string& out, const std::string& name, const std::string& labels,
-              double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.6g", value);
-  out += name + "{" + labels + "} " + buffer + "\n";
-}
-
 }  // namespace
 
 std::string render_prometheus(const SchedulerStats& scheduler,
-                              const std::vector<CacheStats>& shards,
-                              const DistCacheStats* dist,
-                              const ServerNetStats& net,
-                              const std::vector<PeerHealthSnapshot>* peers) {
+                              const std::vector<CacheStats>& shards) {
   std::string out;
   out.reserve(4096);
 
@@ -45,11 +33,6 @@ std::string render_prometheus(const SchedulerStats& scheduler,
   sample(out, "svtox_jobs_total", "event=\"cancelled\"", scheduler.cancelled);
   sample(out, "svtox_jobs_total", "event=\"executed\"", scheduler.executed);
   sample(out, "svtox_jobs_total", "event=\"retried\"", scheduler.retried);
-
-  header(out, "svtox_jobs_adopted_total",
-         "Coordinator job ledgers adopted and resumed after a failover.",
-         "counter");
-  sample(out, "svtox_jobs_adopted_total", scheduler.jobs_adopted);
 
   header(out, "svtox_queue_depth", "Jobs waiting in the priority queue.", "gauge");
   sample(out, "svtox_queue_depth", scheduler.queued);
@@ -84,60 +67,6 @@ std::string render_prometheus(const SchedulerStats& scheduler,
     sample(out, "svtox_cache_inflight", "shard=\"" + std::to_string(s) + "\"",
            shards[s].inflight);
   }
-
-  if (dist != nullptr) {
-    header(out, "svtox_dist_cache_total", "Distributed cache events.", "counter");
-    sample(out, "svtox_dist_cache_total", "event=\"remote_hit\"", dist->remote_hits);
-    sample(out, "svtox_dist_cache_total", "event=\"remote_miss\"",
-           dist->remote_misses);
-    sample(out, "svtox_dist_cache_total", "event=\"remote_publish\"",
-           dist->remote_publishes);
-    sample(out, "svtox_dist_cache_total", "event=\"remote_abandon\"",
-           dist->remote_abandons);
-    sample(out, "svtox_dist_cache_total", "event=\"peer_failure\"",
-           dist->peer_failures);
-    header(out, "svtox_cache_replica_fallbacks_total",
-           "Cache fetches served by a successor after the primary owner failed.",
-           "counter");
-    sample(out, "svtox_cache_replica_fallbacks_total", dist->replica_fallbacks);
-  }
-
-  if (peers != nullptr && !peers->empty()) {
-    header(out, "svtox_peer_up",
-           "Peer health from heartbeats (1 up, 0.5 suspect, 0 down).", "gauge");
-    for (const PeerHealthSnapshot& peer : *peers) {
-      const double up = peer.health == PeerHealth::kUp     ? 1.0
-                        : peer.health == PeerHealth::kSuspect ? 0.5
-                                                              : 0.0;
-      sample_f(out, "svtox_peer_up", "peer=\"" + peer.member + "\"", up);
-    }
-    header(out, "svtox_heartbeat_latency_seconds",
-           "Smoothed heartbeat round-trip time per peer.", "gauge");
-    for (const PeerHealthSnapshot& peer : *peers) {
-      sample_f(out, "svtox_heartbeat_latency_seconds",
-               "peer=\"" + peer.member + "\"", peer.latency_s);
-    }
-  }
-
-  header(out, "svtox_net_bytes_total", "Request/response bytes by transport.",
-         "counter");
-  sample(out, "svtox_net_bytes_total", "transport=\"unix\",direction=\"in\"",
-         net.bytes_in_unix);
-  sample(out, "svtox_net_bytes_total", "transport=\"unix\",direction=\"out\"",
-         net.bytes_out_unix);
-  sample(out, "svtox_net_bytes_total", "transport=\"tcp\",direction=\"in\"",
-         net.bytes_in_tcp);
-  sample(out, "svtox_net_bytes_total", "transport=\"tcp\",direction=\"out\"",
-         net.bytes_out_tcp);
-
-  header(out, "svtox_busy_rejections_total",
-         "Connections refused by admission control.", "counter");
-  sample(out, "svtox_busy_rejections_total", net.busy_rejections);
-  header(out, "svtox_connections_accepted_total",
-         "Connections accepted, lifetime.", "counter");
-  sample(out, "svtox_connections_accepted_total", net.accepted);
-  header(out, "svtox_connections", "Currently open connections.", "gauge");
-  sample(out, "svtox_connections", net.connections);
 
   return out;
 }

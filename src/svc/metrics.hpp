@@ -2,38 +2,20 @@
 //
 // One render function, fed plain stats structs so it stays trivially
 // testable: the `metrics` request handler in the server collects
-// SchedulerStats + per-shard CacheStats + DistCacheStats + transport
-// counters and hands them here. Output follows the Prometheus text format
-// (# HELP / # TYPE headers, `name{labels} value` samples, LF line ends).
+// SchedulerStats + per-shard CacheStats and hands them here. Output follows
+// the Prometheus text format (# HELP / # TYPE headers, `name{labels} value`
+// samples, LF line ends).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "svc/dist_cache.hpp"
 #include "svc/scheduler.hpp"
 
 namespace svtox::svc {
 
-/// Transport-level counters maintained by the Server.
-struct ServerNetStats {
-  std::uint64_t bytes_in_unix = 0;
-  std::uint64_t bytes_out_unix = 0;
-  std::uint64_t bytes_in_tcp = 0;
-  std::uint64_t bytes_out_tcp = 0;
-  std::uint64_t busy_rejections = 0;  ///< Connections refused at capacity.
-  std::uint64_t accepted = 0;         ///< Connections accepted, lifetime.
-  std::uint64_t connections = 0;      ///< Currently open connections.
-};
-
-/// Renders all daemon counters as Prometheus text. `dist` may be null
-/// (daemon running without --peers); `peers` may be null or empty (no
-/// cluster, or heartbeats disabled).
+/// Renders all daemon counters as Prometheus text.
 std::string render_prometheus(const SchedulerStats& scheduler,
-                              const std::vector<CacheStats>& shards,
-                              const DistCacheStats* dist,
-                              const ServerNetStats& net,
-                              const std::vector<PeerHealthSnapshot>* peers = nullptr);
+                              const std::vector<CacheStats>& shards);
 
 }  // namespace svtox::svc

@@ -1,6 +1,5 @@
 #include "svc/scheduler.hpp"
 
-#include <dirent.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -11,9 +10,6 @@
 #include "core/solution_io.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/benchmarks.hpp"
-#include "opt/checkpoint.hpp"
-#include "svc/dist_cache.hpp"
-#include "svc/dist_search.hpp"
 #include "svc/fingerprint.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -270,13 +266,6 @@ Scheduler::Scheduler(const Options& options) : options_(options) {
 
 Scheduler::~Scheduler() { shutdown(/*drain=*/true); }
 
-void Scheduler::set_cluster(Cluster* cluster) {
-  cluster_ = cluster;
-  dist_cache_ = cluster != nullptr
-                    ? std::make_unique<DistributedCache>(*cache_, *cluster)
-                    : nullptr;
-}
-
 JobId Scheduler::submit(const JobSpec& spec) {
   validate_job_spec(spec);
   std::shared_ptr<JobRecord> record = std::make_shared<JobRecord>();
@@ -397,75 +386,8 @@ SchedulerStats Scheduler::stats() const {
   out.queued = queue_->size();
   out.running = running_.load(std::memory_order_relaxed);
   out.workers = options_.workers;
-  out.jobs_adopted = jobs_adopted_.load(std::memory_order_relaxed);
   out.cache = cache_->stats();
   return out;
-}
-
-void Scheduler::release_ledger(const std::string& path) {
-  std::lock_guard<std::mutex> lock(ledger_mu_);
-  auto it = std::find(active_ledgers_.begin(), active_ledgers_.end(), path);
-  if (it != active_ledgers_.end()) active_ledgers_.erase(it);
-}
-
-std::size_t Scheduler::adopt_orphaned_jobs(bool force) {
-  if (options_.checkpoint_dir.empty()) return 0;
-  std::vector<std::string> ledgers;
-  if (DIR* dir = ::opendir(options_.checkpoint_dir.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      const std::string suffix = ".ledger";
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        ledgers.push_back(options_.checkpoint_dir + "/" + name);
-      }
-    }
-    ::closedir(dir);
-  }
-  std::size_t adopted = 0;
-  for (const std::string& path : ledgers) {
-    {
-      std::lock_guard<std::mutex> lock(ledger_mu_);
-      if (std::find(active_ledgers_.begin(), active_ledgers_.end(), path) !=
-          active_ledgers_.end()) {
-        continue;  // a job of ours is journaling to it right now
-      }
-    }
-    try {
-      std::ifstream in(path);
-      if (!in) continue;
-      std::ostringstream text;
-      text << in.rdbuf();
-      const Json doc = Json::parse(text.str());
-      const Json* magic = doc.get("svtox_ledger");
-      const Json* spec_json = doc.get("spec");
-      if (magic == nullptr || magic->as_int() != 1 || spec_json == nullptr) {
-        log_warn("adopt: ignoring malformed ledger " + path);
-        continue;
-      }
-      const Json* owner_json = doc.get("owner");
-      const std::string owner =
-          owner_json != nullptr ? owner_json->as_string() : std::string();
-      if (!force && !owner.empty() && cluster_ != nullptr &&
-          !cluster_->is_self(owner) &&
-          cluster_->health(owner) != PeerHealth::kDown) {
-        // The recorded coordinator is (still) alive: the orphan is not an
-        // orphan. An operator can override with force.
-        continue;
-      }
-      JobSpec spec = job_spec_from_json(*spec_json);
-      if (const std::optional<JobId> id = try_submit(spec)) {
-        log_info("adopt: resubmitted ledger " + path + " (owner '" + owner +
-                 "') as job " + std::to_string(*id));
-        ++adopted;
-      } else {
-        log_warn("adopt: queue full, leaving ledger " + path + " for later");
-      }
-    } catch (const std::exception& e) {
-      log_warn("adopt: skipping ledger " + path + " (" + e.what() + ")");
-    }
-  }
-  return adopted;
 }
 
 void Scheduler::finish(JobRecord& record, JobResult result, JobStatus status) {
@@ -499,18 +421,12 @@ void Scheduler::worker_loop(int worker_index) {
 }
 
 void Scheduler::execute(WorkerState& state, JobRecord& record) {
-  JobSpec spec = record.spec;
+  const JobSpec& spec = record.spec;
   JobResult result;
   result.method = spec.method;
   result.penalty_percent = spec.penalty_percent;
   result.label = spec.label;
 
-  // Caching requires the result to be a pure function of the cache key.
-  // Subtree shards are not: the migration token (resume_text) seeds the
-  // incumbent and is deliberately NOT part of the key, so shard jobs
-  // always solve.
-  const bool cacheable =
-      spec.use_cache && spec.subtree_prefix.empty() && spec.resume_text.empty();
   std::string key;
   bool cache_owner = false;
   // fetch_or_lock must run at most once per job: a second call by the same
@@ -519,23 +435,6 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
   for (int attempt = 0;; ++attempt) {
     try {
       SVTOX_FAIL_POINT("job_execute");
-      if (spec.subtrees >= 2 && !spec.bench_path.empty()) {
-        // Coordinators must ship the *identical* netlist to their peers:
-        // the search fingerprint embeds the netlist name, and a file
-        // resolved here would be named differently than its inlined copy
-        // on a remote worker -- tokens would be silently dropped there.
-        // Inline the content up front so every node resolves the same
-        // content-addressed circuit.
-        std::ifstream in(spec.bench_path);
-        if (!in) {
-          throw Error(ErrorCode::kIo,
-                      "cannot read bench file '" + spec.bench_path + "'");
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        spec.bench_text = text.str();
-        spec.bench_path.clear();
-      }
       std::shared_ptr<const ResourcePool::LibraryEntry> library = pool_->library(spec);
       std::shared_ptr<const ResourcePool::CircuitEntry> circuit =
           pool_->circuit(library, spec);
@@ -550,18 +449,14 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
       knobs.seed = spec.seed;
       knobs.search_threads = spec.search_threads;
       knobs.max_leaves = spec.max_leaves;
-      knobs.subtrees = spec.subtrees;
-      knobs.subtree_prefix = spec.subtree_prefix;
       knobs.pinned_inputs = spec.pinned_inputs;
       knobs.boundary_timing = spec.boundary_timing;
       const std::string job_key = cache_key(library->fp, circuit->fp, knobs);
 
-      if (cacheable && !cache_checked) {
+      if (spec.use_cache && !cache_checked) {
         cache_checked = true;
         key = job_key;
-        std::optional<JobResult> cached = dist_cache_ != nullptr
-                                              ? dist_cache_->fetch_or_lock(key)
-                                              : cache_->fetch_or_lock(key);
+        std::optional<JobResult> cached = cache_->fetch_or_lock(key);
         if (cached) {
           cached->label = spec.label;  // echo the submitter's tag, not the solver's
           finish(record, std::move(*cached), JobStatus::kDone);
@@ -588,15 +483,6 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
         config.checkpoint_path = options_.checkpoint_dir + "/" + job_key + ".ckpt";
         config.checkpoint_every_s = options_.checkpoint_every_s;
       }
-      if (!spec.subtree_prefix.empty()) {
-        // Subtree shard (coordinator -> worker): pin the prescribed branch
-        // and seed/resume from the migration token.
-        config.subtree_prefix.resize(spec.subtree_prefix.size());
-        for (std::size_t i = 0; i < spec.subtree_prefix.size(); ++i) {
-          config.subtree_prefix[i] = spec.subtree_prefix[i] == '1';
-        }
-        config.resume_text = spec.resume_text;
-      }
       if (!spec.pinned_inputs.empty()) {
         // Boundary-aware cone solve: length-check against the *resolved*
         // netlist (validate_job_spec cannot -- it never sees the circuit).
@@ -618,41 +504,7 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
               std::to_string(config.boundary.points.size()));
         }
       }
-      core::MethodResult run;
-      if (spec.subtrees >= 2) {
-        DistSearchContext dist{optimizer,
-                               library->fp,
-                               circuit->fp,
-                               cluster_,
-                               options_.checkpoint_dir,
-                               options_.checkpoint_every_s,
-                               &record.cancel,
-                               options_.dist_poll_interval_s,
-                               /*queued_grace_s=*/5.0,
-                               options_.dist_steal_after_s};
-        dist.adopted = &jobs_adopted_;
-        if (!options_.checkpoint_dir.empty()) {
-          // Content-addressed failover journal: any resubmission of the
-          // same coordinator job (this daemon restarted, or a peer that
-          // adopted the orphan) finds and resumes it.
-          dist.ledger_path = options_.checkpoint_dir + "/" + job_key + ".ledger";
-        }
-        // Mark the ledger live so adopt_orphaned_jobs never resubmits a
-        // job this scheduler is still running.
-        if (!dist.ledger_path.empty()) {
-          std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
-          active_ledgers_.push_back(dist.ledger_path);
-        }
-        try {
-          run = distributed_search(spec, dist);
-        } catch (...) {
-          if (!dist.ledger_path.empty()) release_ledger(dist.ledger_path);
-          throw;
-        }
-        if (!dist.ledger_path.empty()) release_ledger(dist.ledger_path);
-      } else {
-        run = optimizer.run(method, config);
-      }
+      const core::MethodResult run = optimizer.run(method, config);
 
       result.leakage_ua = run.leakage_ua;
       result.reduction_x = run.reduction_x;
@@ -661,47 +513,14 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
       result.interrupted = run.solution.interrupted;
       result.runtime_s =
           method == core::Method::kAverageRandom ? run.runtime_s : run.solution.runtime_s;
-      if (method != core::Method::kAverageRandom && spec.subtree_prefix.empty()) {
+      if (method != core::Method::kAverageRandom) {
         result.solution_text = core::write_solution(run.solution, circuit->netlist);
-      }
-      if (!spec.subtree_prefix.empty()) {
-        // The coordinator merges checkpoints, not solution text. tree_done
-        // means the shard's whole deterministic work unit finished
-        // (exhausted or leaf budget consumed) -- synthesize a result
-        // token. A cancelled shard instead ships the search's final
-        // on-disk snapshot verbatim: it carries the frontier path, which
-        // a path-less blob with non-zero counters could not replace
-        // (resuming one would re-count leaves and break byte-identity).
-        if (!run.solution.interrupted) {
-          opt::SearchCheckpoint token;
-          token.tree_done = true;
-          token.nodes = run.solution.nodes_visited;
-          token.leaves = run.solution.states_explored;
-          token.elapsed_s = run.solution.runtime_s;
-          token.sleep_vector = run.solution.sleep_vector;
-          token.config = run.solution.config;
-          token.leakage_na = run.solution.leakage_na;
-          token.delay_ps = run.solution.delay_ps;
-          result.checkpoint_text = opt::write_checkpoint(token);
-        } else if (!config.checkpoint_path.empty()) {
-          std::ifstream in(config.checkpoint_path);
-          if (in) {
-            std::ostringstream text;
-            text << in.rdbuf();
-            result.checkpoint_text = text.str();
-          }
-        }
       }
       executed_.fetch_add(1, std::memory_order_relaxed);
 
       if (cache_owner) {
-        // Both levels skip storing interrupted results (and the
-        // distributed layer turns them into an owner-side abandon).
-        if (dist_cache_ != nullptr) {
-          dist_cache_->publish(key, result);
-        } else {
-          cache_->publish(key, result);
-        }
+        // Interrupted results are not stored (publish abandons them).
+        cache_->publish(key, result);
       }
       if (result.interrupted && record.user_cancelled.load()) {
         result.error = "cancelled (best-so-far solution attached)";
@@ -726,13 +545,7 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
                  "); retrying");
         continue;
       }
-      if (cache_owner) {
-        if (dist_cache_ != nullptr) {
-          dist_cache_->abandon(key);
-        } else {
-          cache_->abandon(key);
-        }
-      }
+      if (cache_owner) cache_->abandon(key);
       result.error = e.what();
       result.error_code = to_string(e.code());
       finish(record, std::move(result), JobStatus::kFailed);
@@ -740,13 +553,7 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
     } catch (const std::exception& e) {
       // Non-Error exceptions (contract violations, bad_alloc, ...) are
       // never retried: they would fail identically every time.
-      if (cache_owner) {
-        if (dist_cache_ != nullptr) {
-          dist_cache_->abandon(key);
-        } else {
-          cache_->abandon(key);
-        }
-      }
+      if (cache_owner) cache_->abandon(key);
       result.error = e.what();
       result.error_code = "internal";
       finish(record, std::move(result), JobStatus::kFailed);

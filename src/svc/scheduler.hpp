@@ -46,10 +46,6 @@
 
 namespace svtox::svc {
 
-class Cluster;
-class DistributedCache;
-struct DistCacheStats;
-
 struct SchedulerStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;   ///< Terminal for any reason.
@@ -57,7 +53,6 @@ struct SchedulerStats {
   std::uint64_t cancelled = 0;
   std::uint64_t executed = 0;    ///< Actually solved (not cache-served).
   std::uint64_t retried = 0;     ///< Re-run attempts after retryable errors.
-  std::uint64_t jobs_adopted = 0;  ///< Coordinator ledgers restored (failover).
   std::size_t queued = 0;
   std::size_t running = 0;
   int workers = 0;
@@ -78,10 +73,6 @@ struct SchedulerOptions {
   /// the same job resumes instead of restarting.
   std::string checkpoint_dir;
   double checkpoint_every_s = 5.0;  ///< Snapshot cadence (seconds).
-  /// Distributed coordination: steal a remotely-running subtree from its
-  /// worker after this long (its latest checkpoint migrates with it).
-  double dist_steal_after_s = 30.0;
-  double dist_poll_interval_s = 0.05;  ///< Remote job status poll cadence.
 };
 
 class Scheduler {
@@ -103,14 +94,6 @@ class Scheduler {
   /// an explicit retryable "busy" reply rather than a hung connection.
   std::optional<JobId> try_submit(const JobSpec& spec);
 
-  /// Attaches a static cluster (must outlive the scheduler; wire up before
-  /// serving, not mid-flight): enables the two-level distributed solution
-  /// cache and remote subtree dispatch for coordinator jobs. Null detaches.
-  void set_cluster(Cluster* cluster);
-  Cluster* cluster() const { return cluster_; }
-  DistributedCache* dist_cache() const { return dist_cache_.get(); }
-  const std::string& checkpoint_dir() const { return options_.checkpoint_dir; }
-
   /// Cancels a queued job outright or requests cooperative cancellation of
   /// a running one; false when the job is unknown or already terminal.
   bool cancel(JobId id);
@@ -123,15 +106,6 @@ class Scheduler {
 
   SchedulerStats stats() const;
   SolutionCache& cache() { return *cache_; }
-
-  /// Coordinator failover: scans checkpoint_dir for orphaned job ledgers
-  /// (left by a crashed coordinator) and resubmits their specs, which
-  /// resume from the journaled per-subtree tokens. Ledgers owned by this
-  /// scheduler's currently-running jobs are never adopted; ledgers whose
-  /// recorded owner is another cluster member are only adopted when that
-  /// member is down (or `force` is set). Returns the number of jobs
-  /// resubmitted.
-  std::size_t adopt_orphaned_jobs(bool force = false);
 
   /// Stops the pool. drain=true (the default, and what the destructor
   /// does) lets queued jobs run to completion first; drain=false cancels
@@ -153,14 +127,11 @@ class Scheduler {
   void execute(WorkerState& state, JobRecord& record);
   std::shared_ptr<JobRecord> find(JobId id) const;
   void finish(JobRecord& record, JobResult result, JobStatus status);
-  void release_ledger(const std::string& path);
 
   Options options_;
   std::unique_ptr<SolutionCache> cache_;
   std::unique_ptr<ResourcePool> pool_;
   std::unique_ptr<JobQueue> queue_;
-  Cluster* cluster_ = nullptr;
-  std::unique_ptr<DistributedCache> dist_cache_;
 
   mutable std::mutex mu_;
   std::condition_variable terminal_cv_;   ///< Signalled on any job finish.
@@ -178,14 +149,8 @@ class Scheduler {
   std::mutex shutdown_mu_;  ///< Serializes shutdown(); taken before mu_.
   bool stopped_ = false;    ///< Guarded by shutdown_mu_.
 
-  std::mutex ledger_mu_;
-  /// Ledger paths of coordinator jobs currently running here -- never
-  /// candidates for adoption (they are not orphaned).
-  std::vector<std::string> active_ledgers_;
-
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> retried_{0};
-  std::atomic<std::uint64_t> jobs_adopted_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> completed_{0};

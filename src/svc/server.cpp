@@ -7,11 +7,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "net/frame.hpp"
-#include "svc/dist_cache.hpp"
+#include "svc/metrics.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/log.hpp"
@@ -22,13 +19,8 @@ namespace {
 
 /// Hard cap on one NDJSON request line. A client that streams an unbounded
 /// line (malicious or broken framing) gets an error and a closed
-/// connection instead of growing the server's buffer without limit. The
-/// TCP transport enforces the same bound via net::kMaxFrameBytes -- there
-/// it costs the server four header bytes, not a megabyte.
+/// connection instead of growing the server's buffer without limit.
 constexpr std::size_t kMaxRequestBytes = 1 << 20;
-
-static_assert(net::kMaxFrameBytes == kMaxRequestBytes,
-              "both transports must enforce the same request cap");
 
 /// Writes the whole buffer, riding out EINTR/partial writes.
 bool write_all(int fd, const std::string& data) {
@@ -95,60 +87,32 @@ Server::Server(Scheduler& scheduler, ServerOptions options)
     listen_fd_ = -1;
     throw ContractError("cannot bind " + options_.socket_path + ": " + what);
   }
-  if (options_.tcp_port >= 0) {
-    try {
-      tcp_listener_ = net::Listener::tcp(options_.tcp_host, options_.tcp_port);
-    } catch (...) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw;
-    }
-  }
 }
 
 Server::~Server() { stop(); }
 
 void Server::start() {
   acceptor_ = std::thread([this] { accept_loop(); });
-  if (tcp_listener_.valid()) {
-    tcp_acceptor_ = std::thread([this] { accept_loop_tcp(); });
-  }
 }
 
-bool Server::admit(int fd, bool tcp) {
+bool Server::admit(int fd) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       ::close(fd);
       return false;
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
     if (client_fds_.size() < options_.max_connections) {
       client_fds_.push_back(fd);
-      handlers_.emplace_back([this, fd, tcp] {
-        if (tcp) {
-          handle_connection_tcp(fd);
-        } else {
-          handle_connection(fd);
-        }
-      });
+      handlers_.emplace_back([this, fd] { handle_connection(fd); });
       return true;
     }
-    busy_rejections_.fetch_add(1, std::memory_order_relaxed);
   }
   // At capacity: an explicit, retryable rejection beats a silently parked
   // connection. The reply is tiny, so this cannot stall the acceptor.
   const std::string payload =
       error_reply("server at connection capacity; retry later", "busy").dump();
-  if (tcp) {
-    std::string wire;
-    net::encode_frame(wire, payload);
-    bytes_out_tcp_.fetch_add(wire.size(), std::memory_order_relaxed);
-    write_all(fd, wire);
-  } else {
-    bytes_out_unix_.fetch_add(payload.size() + 1, std::memory_order_relaxed);
-    write_all(fd, payload + "\n");
-  }
+  write_all(fd, payload + "\n");
   ::close(fd);
   return true;
 }
@@ -160,15 +124,7 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listen fd closed by stop()
     }
-    if (!admit(fd, /*tcp=*/false)) return;
-  }
-}
-
-void Server::accept_loop_tcp() {
-  for (;;) {
-    const int fd = tcp_listener_.accept_fd();
-    if (fd < 0) return;  // shut down by stop()
-    if (!admit(fd, /*tcp=*/true)) return;
+    if (!admit(fd)) return;
   }
 }
 
@@ -192,7 +148,6 @@ void Server::handle_connection(int fd) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // disconnect or stop()
     buffer.append(chunk, static_cast<std::size_t>(n));
-    bytes_in_unix_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
     if (buffer.size() > kMaxRequestBytes &&
         buffer.find('\n') == std::string::npos) {
       write_all(fd, error_reply("request line exceeds 1 MiB", "parse").dump() + "\n");
@@ -217,73 +172,12 @@ void Server::handle_connection(int fd) {
         reply = error_reply(e.what(), "contract");
       }
       const std::string payload = reply.dump() + "\n";
-      bytes_out_unix_.fetch_add(payload.size(), std::memory_order_relaxed);
       if (SVTOX_FAIL_POINT_FAILS("server_write") || !write_all(fd, payload)) {
         close_after = true;
       }
     }
   }
   finish_connection(fd);
-}
-
-void Server::handle_connection_tcp(int fd) {
-  std::string buffer;
-  std::string payload;
-  bool close_after = false;
-  char chunk[4096];
-  while (!close_after) {
-    if (SVTOX_FAIL_POINT_FAILS("server_read")) break;
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // disconnect (possibly mid-frame) or stop()
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    bytes_in_tcp_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
-    try {
-      while (!close_after &&
-             net::extract_frame(buffer, payload, net::kMaxFrameBytes)) {
-        // A garbage length prefix that decodes small just yields a payload
-        // that fails JSON parsing -- an error reply, connection kept. Only
-        // an oversized announcement is unrecoverable (the body is still in
-        // flight with no way to resynchronize) and lands in the catch.
-        Json reply;
-        try {
-          reply = dispatch(Json::parse(payload), close_after);
-        } catch (const Error& e) {
-          reply = error_reply(e.what(), to_string(e.code()));
-        } catch (const std::exception& e) {
-          reply = error_reply(e.what(), "contract");
-        }
-        std::string wire;
-        net::encode_frame(wire, reply.dump());
-        bytes_out_tcp_.fetch_add(wire.size(), std::memory_order_relaxed);
-        if (SVTOX_FAIL_POINT_FAILS("server_write") || !write_all(fd, wire)) {
-          close_after = true;
-        }
-      }
-    } catch (const Error&) {
-      std::string wire;
-      net::encode_frame(wire, error_reply("frame exceeds 1 MiB", "parse").dump());
-      bytes_out_tcp_.fetch_add(wire.size(), std::memory_order_relaxed);
-      write_all(fd, wire);
-      break;
-    }
-  }
-  finish_connection(fd);
-}
-
-ServerNetStats Server::net_stats() const {
-  ServerNetStats out;
-  out.bytes_in_unix = bytes_in_unix_.load(std::memory_order_relaxed);
-  out.bytes_out_unix = bytes_out_unix_.load(std::memory_order_relaxed);
-  out.bytes_in_tcp = bytes_in_tcp_.load(std::memory_order_relaxed);
-  out.bytes_out_tcp = bytes_out_tcp_.load(std::memory_order_relaxed);
-  out.busy_rejections = busy_rejections_.load(std::memory_order_relaxed);
-  out.accepted = accepted_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.connections = client_fds_.size();
-  }
-  return out;
 }
 
 Json Server::dispatch(const Json& request, bool& close_after) {
@@ -342,7 +236,6 @@ Json Server::dispatch(const Json& request, bool& close_after) {
     jobs.set("cancelled", stats.cancelled);
     jobs.set("executed", stats.executed);
     jobs.set("retried", stats.retried);
-    jobs.set("adopted", stats.jobs_adopted);
     jobs.set("queued", stats.queued);
     jobs.set("running", stats.running);
     jobs.set("workers", stats.workers);
@@ -355,214 +248,15 @@ Json Server::dispatch(const Json& request, bool& close_after) {
       shards.push_back(cache_stats_json(shard));
     }
     reply.set("cache_shards", Json(std::move(shards)));
-    if (const DistributedCache* dist = scheduler_.dist_cache()) {
-      const DistCacheStats d = dist->stats();
-      Json dist_json = Json::object();
-      dist_json.set("remote_hits", d.remote_hits);
-      dist_json.set("remote_misses", d.remote_misses);
-      dist_json.set("remote_publishes", d.remote_publishes);
-      dist_json.set("remote_abandons", d.remote_abandons);
-      dist_json.set("peer_failures", d.peer_failures);
-      dist_json.set("replica_fallbacks", d.replica_fallbacks);
-      reply.set("dist_cache", dist_json);
-    }
-    if (const Cluster* cluster = scheduler_.cluster()) {
-      Json cluster_json = Json::object();
-      cluster_json.set("self", cluster->self());
-      cluster_json.set("epoch", cluster->epoch());
-      Json::Array members;
-      for (const std::string& member : cluster->members()) {
-        members.push_back(Json(member));
-      }
-      cluster_json.set("members", Json(std::move(members)));
-      Json::Array peers;
-      for (const PeerHealthSnapshot& peer : cluster->health_snapshot()) {
-        Json peer_json = Json::object();
-        peer_json.set("member", peer.member);
-        peer_json.set("health", peer_health_name(peer.health));
-        peer_json.set("latency_s", peer.latency_s);
-        peer_json.set("since_ok_s", peer.since_ok_s);
-        peer_json.set("failures", peer.failures);
-        peers.push_back(std::move(peer_json));
-      }
-      cluster_json.set("peers", Json(std::move(peers)));
-      reply.set("cluster", cluster_json);
-    }
-    const ServerNetStats net = net_stats();
-    Json net_json = Json::object();
-    net_json.set("bytes_in_unix", net.bytes_in_unix);
-    net_json.set("bytes_out_unix", net.bytes_out_unix);
-    net_json.set("bytes_in_tcp", net.bytes_in_tcp);
-    net_json.set("bytes_out_tcp", net.bytes_out_tcp);
-    net_json.set("busy_rejections", net.busy_rejections);
-    net_json.set("accepted", net.accepted);
-    net_json.set("connections", net.connections);
-    reply.set("net", net_json);
     return reply;
   }
 
   if (cmd == "metrics") {
     const SchedulerStats stats = scheduler_.stats();
     const std::vector<CacheStats> shards = scheduler_.cache().shard_stats();
-    DistCacheStats dist_stats;
-    const DistributedCache* dist = scheduler_.dist_cache();
-    if (dist != nullptr) dist_stats = dist->stats();
-    std::vector<PeerHealthSnapshot> peers;
-    if (const Cluster* cluster = scheduler_.cluster()) {
-      peers = cluster->health_snapshot();
-    }
     Json reply = Json::object();
     reply.set("ok", true);
-    reply.set("metrics", render_prometheus(stats, shards,
-                                           dist != nullptr ? &dist_stats : nullptr,
-                                           net_stats(), &peers));
-    return reply;
-  }
-
-  if (cmd == "checkpoint_fetch") {
-    const Json* key = request.get("key");
-    if (key == nullptr || !key->is_string()) {
-      return error_reply("'checkpoint_fetch' needs a string 'key'");
-    }
-    const std::string& name = key->as_string();
-    // Cache keys are three 16-digit hex words joined by dots; anything
-    // else (path separators in particular) is rejected outright.
-    if (name.empty() || name.size() > 128 ||
-        name.find_first_not_of("0123456789abcdef.") != std::string::npos) {
-      return error_reply("invalid checkpoint key");
-    }
-    Json reply = Json::object();
-    reply.set("ok", true);
-    bool found = false;
-    const std::string& dir = scheduler_.checkpoint_dir();
-    if (!dir.empty()) {
-      std::ifstream in(dir + "/" + name + ".ckpt");
-      if (in) {
-        std::ostringstream text;
-        text << in.rdbuf();
-        reply.set("checkpoint", text.str());
-        found = true;
-      }
-    }
-    reply.set("found", found);
-    return reply;
-  }
-
-  if (cmd == "cache_fetch_or_lock") {
-    const Json* key = request.get("key");
-    if (key == nullptr || !key->is_string()) {
-      return error_reply("'cache_fetch_or_lock' needs a string 'key'");
-    }
-    Json reply = Json::object();
-    reply.set("ok", true);
-    // Blocks while this shard has an inflight solve for the key: a remote
-    // caller parking here until the local publish IS the cluster-wide
-    // dedup. A miss makes the caller this shard's inflight owner -- it
-    // owes a cache_publish or cache_abandon. `wait_s` bounds the park so a
-    // crashed owner degrades the caller to a duplicate solve, not a hang.
-    const Json* wait = request.get("wait_s");
-    const double wait_s = wait != nullptr ? wait->as_number(0.0) : 0.0;
-    if (std::optional<JobResult> hit =
-            scheduler_.cache().fetch_or_lock(key->as_string(), wait_s)) {
-      reply.set("hit", true);
-      reply.set("result", job_result_to_json(*hit, /*include_solution=*/true));
-    } else {
-      reply.set("hit", false);
-    }
-    return reply;
-  }
-
-  if (cmd == "cache_publish" || cmd == "cache_abandon") {
-    const Json* key = request.get("key");
-    if (key == nullptr || !key->is_string()) {
-      return error_reply("'" + cmd + "' needs a string 'key'");
-    }
-    if (cmd == "cache_publish") {
-      const Json* payload = request.get("result");
-      if (payload == nullptr || !payload->is_object()) {
-        return error_reply("'cache_publish' needs a 'result' object");
-      }
-      scheduler_.cache().publish(key->as_string(), job_result_from_json(*payload));
-    } else {
-      scheduler_.cache().abandon(key->as_string());
-    }
-    Json reply = Json::object();
-    reply.set("ok", true);
-    return reply;
-  }
-
-  if (cmd == "ping") {
-    // The heartbeat probe: deliberately cheap (no scheduler locks) so a
-    // loaded daemon still answers within the suspect window.
-    Json reply = Json::object();
-    reply.set("ok", true);
-    reply.set("pong", true);
-    if (const Cluster* cluster = scheduler_.cluster()) {
-      reply.set("self", cluster->self());
-      reply.set("epoch", cluster->epoch());
-    }
-    return reply;
-  }
-
-  if (cmd == "cluster_reload") {
-    Cluster* cluster = scheduler_.cluster();
-    if (cluster == nullptr) {
-      return error_reply("daemon is not running in cluster mode");
-    }
-    bool changed = false;
-    const Json* members = request.get("members");
-    if (members != nullptr && members->is_array()) {
-      std::vector<std::string> list;
-      for (const Json& member : members->as_array()) {
-        if (!member.is_string()) {
-          return error_reply("'members' must be an array of host:port strings");
-        }
-        list.push_back(member.as_string());
-      }
-      changed = cluster->reload(std::move(list));
-    } else {
-      changed = cluster->reload_from_file();
-    }
-    Json reply = Json::object();
-    reply.set("ok", true);
-    reply.set("changed", changed);
-    reply.set("epoch", cluster->epoch());
-    Json::Array list;
-    for (const std::string& member : cluster->members()) {
-      list.push_back(Json(member));
-    }
-    reply.set("members", Json(std::move(list)));
-    return reply;
-  }
-
-  if (cmd == "adopt_jobs") {
-    const Json* force = request.get("force");
-    const std::size_t adopted =
-        scheduler_.adopt_orphaned_jobs(force != nullptr && force->as_bool(false));
-    Json reply = Json::object();
-    reply.set("ok", true);
-    reply.set("adopted", adopted);
-    return reply;
-  }
-
-  if (cmd == "failpoints") {
-    // Chaos control plane: reconfigure the process-wide fail points at
-    // runtime (the chaos harness injects partitions this way). Only
-    // meaningful in instrumented builds; Release compiles the hooks out.
-    if (!FailPoints::compiled_in()) {
-      return error_reply("fail points are not compiled into this build");
-    }
-    const Json* spec = request.get("spec");
-    if (spec == nullptr || !spec->is_string()) {
-      return error_reply("'failpoints' needs a string 'spec'");
-    }
-    if (spec->as_string().empty()) {
-      FailPoints::instance().clear();
-    } else {
-      FailPoints::instance().configure(spec->as_string());
-    }
-    Json reply = Json::object();
-    reply.set("ok", true);
+    reply.set("metrics", render_prometheus(stats, shards));
     return reply;
   }
 
@@ -599,7 +293,6 @@ void Server::stop() {
     // close() alone does NOT wake a thread blocked in accept() on Linux;
     // shutdown() does. The fd itself is closed after the acceptor joins.
     if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-    if (tcp_listener_.valid()) tcp_listener_.shutdown_now();
     // Wake blocked reads; the handler threads close the fds themselves.
     for (const int fd : client_fds_) ::shutdown(fd, SHUT_RDWR);
     handlers.swap(handlers_);
@@ -617,7 +310,6 @@ void Server::stop() {
     ::close(wake);
   }
   if (acceptor_.joinable()) acceptor_.join();
-  if (tcp_acceptor_.joinable()) tcp_acceptor_.join();
   for (std::thread& handler : handlers) {
     if (handler.joinable()) handler.join();
   }

@@ -1,12 +1,7 @@
-// Network front end of the scheduler: the `svtoxd` daemon's listeners.
+// Network front end of the scheduler: the `svtoxd` daemon's listener.
 //
-// Two transports, one dispatcher:
-//  * Unix-domain socket -- newline-delimited JSON, one request object per
-//    line, one response object per line.
-//  * TCP (optional, --listen-tcp) -- the same JSON objects wrapped in
-//    4-byte length-prefixed frames (src/net), which is what peers in a
-//    --peers cluster speak. The per-request size cap and the JSON depth
-//    guard apply identically on both.
+// A Unix-domain socket speaking newline-delimited JSON: one request object
+// per line, one response object per line.
 //
 //   -> {"cmd":"submit","circuit":"c432","method":"heu1","penalty":5}
 //   <- {"ok":true,"job":1}
@@ -17,29 +12,21 @@
 //   -> {"cmd":"cancel","job":1}
 //   <- {"ok":true,"job":1,"cancelled":true}
 //   -> {"cmd":"stats"}
-//   <- {"ok":true,"jobs":{...},"cache":{...},"cache_shards":[...],"net":{...}}
+//   <- {"ok":true,"jobs":{...},"cache":{...},"cache_shards":[...]}
 //   -> {"cmd":"metrics"}
 //   <- {"ok":true,"metrics":"# HELP svtox_jobs_total ..."}   // Prometheus text
 //   -> {"cmd":"shutdown","drain":true}
 //   <- {"ok":true}
-//
-// Cluster-internal requests (issued by peer daemons, not end users):
-// `cache_fetch_or_lock` / `cache_publish` / `cache_abandon` operate on
-// this daemon's LOCAL solution cache (the two-level routing lives in
-// svc::DistributedCache on the caller), and `checkpoint_fetch` serves the
-// latest on-disk search checkpoint for a job key (subtree work-stealing).
 //
 // Every connection gets its own handler thread (blocking `result` waits
 // only park that connection). Admission control bounds those threads:
 // past ServerOptions::max_connections, a fresh connection is answered
 // with a retryable "busy" error and closed -- never silently hung.
 // Malformed requests produce {"ok":false,"error":"..."} and keep the
-// connection open; unrecoverable framing (an oversized frame
-// announcement, a mid-frame disconnect) drops only that connection. The
-// daemon itself only dies on `shutdown` or a signal.
+// connection open; an oversized request line drops only that connection.
+// The daemon itself only dies on `shutdown` or a signal.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -47,38 +34,31 @@
 #include <thread>
 #include <vector>
 
-#include "net/listener.hpp"
-#include "svc/metrics.hpp"
 #include "svc/scheduler.hpp"
 
 namespace svtox::svc {
 
 struct ServerOptions {
   std::string socket_path;
-  /// TCP front end: -1 = disabled, 0 = bind an ephemeral port (tcp_port()
-  /// reports the actual one), otherwise the port to bind on tcp_host.
-  std::string tcp_host = "127.0.0.1";
-  int tcp_port = -1;
-  /// Admission control across both transports: a connection beyond this
-  /// many concurrently open ones gets a "busy" error and a close.
+  /// Admission control: a connection beyond this many concurrently open
+  /// ones gets a "busy" error and a close.
   std::size_t max_connections = 256;
 };
 
 class Server {
  public:
-  /// Unix-only convenience: binds `socket_path`, no TCP listener.
+  /// Convenience: binds `socket_path` with default options.
   Server(Scheduler& scheduler, std::string socket_path);
 
-  /// Binds the Unix socket (unlinking a stale one first) and, when
-  /// options.tcp_port >= 0, the TCP listener too; throws ContractError /
-  /// Error(kIo) when either cannot be bound.
+  /// Binds the Unix socket (unlinking a stale one first); throws
+  /// ContractError when it cannot be bound.
   Server(Scheduler& scheduler, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Spawns the accept loop(s).
+  /// Spawns the accept loop.
   void start();
 
   /// Blocks until a client issued `shutdown` (returns its requested drain
@@ -90,38 +70,21 @@ class Server {
   void stop();
 
   const std::string& socket_path() const { return options_.socket_path; }
-  /// The bound TCP port, or -1 when the TCP front end is disabled.
-  int tcp_port() const { return tcp_listener_.valid() ? tcp_listener_.port() : -1; }
-  /// "host:port" of the TCP listener; empty when disabled.
-  std::string tcp_address() const {
-    return tcp_listener_.valid() ? tcp_listener_.address() : std::string();
-  }
 
  private:
   void accept_loop();
-  void accept_loop_tcp();
   /// Spawns the handler for an accepted fd, or rejects it ("busy") at
   /// capacity. Returns false when the server is stopping.
-  bool admit(int fd, bool tcp);
+  bool admit(int fd);
   void handle_connection(int fd);
-  void handle_connection_tcp(int fd);
   void finish_connection(int fd);
   /// One request -> one response; `close_after` asks the caller to end the
   /// connection (shutdown acknowledges first, then tears down).
   Json dispatch(const Json& request, bool& close_after);
-  ServerNetStats net_stats() const;
 
   Scheduler& scheduler_;
   ServerOptions options_;
   int listen_fd_ = -1;
-  net::Listener tcp_listener_;
-
-  std::atomic<std::uint64_t> bytes_in_unix_{0};
-  std::atomic<std::uint64_t> bytes_out_unix_{0};
-  std::atomic<std::uint64_t> bytes_in_tcp_{0};
-  std::atomic<std::uint64_t> bytes_out_tcp_{0};
-  std::atomic<std::uint64_t> busy_rejections_{0};
-  std::atomic<std::uint64_t> accepted_{0};
 
   mutable std::mutex mu_;
   std::condition_variable shutdown_cv_;
@@ -131,7 +94,6 @@ class Server {
   std::vector<int> client_fds_;
   std::vector<std::thread> handlers_;
   std::thread acceptor_;
-  std::thread tcp_acceptor_;
 };
 
 }  // namespace svtox::svc

@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -64,14 +63,9 @@ void SolutionCache::insert_locked(Shard& shard, const std::string& key,
   shard.evictions.fetch_add(evicted, std::memory_order_relaxed);
 }
 
-std::optional<JobResult> SolutionCache::fetch_or_lock(const std::string& key,
-                                                      double max_wait_s) {
+std::optional<JobResult> SolutionCache::fetch_or_lock(const std::string& key) {
   Shard& shard = shard_for(key);
   bool counted_wait = false;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(max_wait_s > 0.0 ? max_wait_s : 0.0));
   std::unique_lock<std::mutex> lock(shard.mu);
   for (;;) {
     auto it = shard.values.find(key);
@@ -99,19 +93,7 @@ std::optional<JobResult> SolutionCache::fetch_or_lock(const std::string& key,
       counted_wait = true;
       shard.inflight_waits.fetch_add(1, std::memory_order_relaxed);
     }
-    if (max_wait_s > 0.0) {
-      if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-          shard.values.find(key) == shard.values.end() &&
-          shard.inflight.count(key) != 0) {
-        // Timeout promotion: the marker's owner may be dead. The marker
-        // stays (its owner could still publish and wake other waiters);
-        // this caller just solves redundantly.
-        shard.misses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
-    } else {
-      shard.cv.wait(lock);
-    }
+    shard.cv.wait(lock);
   }
 }
 

@@ -59,13 +59,8 @@ class SolutionCache {
   /// Returns the cached result on a hit (memory, then disk). On a miss the
   /// caller becomes the owner of `key` and nullopt is returned: it must
   /// call publish() or abandon() exactly once. Blocks while another owner
-  /// is inflight on the same key. `max_wait_s > 0` bounds that wait: on
-  /// expiry the caller is promoted to an *additional* owner and gets
-  /// nullopt (a duplicate solve), so a crashed owner -- e.g. a remote
-  /// borrower that died mid-solve -- degrades to redundant work instead of
-  /// parking every later fetch forever.
-  std::optional<JobResult> fetch_or_lock(const std::string& key,
-                                         double max_wait_s = 0.0);
+  /// is inflight on the same key.
+  std::optional<JobResult> fetch_or_lock(const std::string& key);
 
   /// Owner fulfills the key; waiters wake with a copy. Results flagged
   /// interrupted are not canonical for their key and are treated as

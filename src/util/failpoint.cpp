@@ -84,33 +84,10 @@ void FailPoints::configure(const std::string& spec) {
       }
     } else if (action == "off") {
       point.action = Action::kOff;
-    } else if (action == "drop") {
-      point.action = Action::kDrop;
-    } else if (action == "delay") {
-      point.action = Action::kDelay;
-      if (!param.empty()) point.stall_ms = static_cast<int>(parse_double(param));
-      if (point.stall_ms < 0 || point.stall_ms > 60000) {
-        throw ContractError("fail point delay must be in [0, 60000] ms: '" +
-                            std::string(entry) + "'");
-      }
-    } else if (action == "truncate") {
-      point.action = Action::kTruncate;
-      if (!param.empty()) point.net_param = static_cast<int>(parse_double(param));
-      if (point.net_param < 0) {
-        throw ContractError("fail point truncate bytes must be >= 0: '" +
-                            std::string(entry) + "'");
-      }
-    } else if (action == "reset-after") {
-      point.action = Action::kReset;
-      if (!param.empty()) point.net_param = static_cast<int>(parse_double(param));
-      if (point.net_param < 0) {
-        throw ContractError("fail point reset-after bytes must be >= 0: '" +
-                            std::string(entry) + "'");
-      }
     } else {
       throw ContractError(
           "unknown fail point action '" + std::string(action) +
-          "' (want error|hang|off|drop|delay|truncate|reset-after)");
+          "' (want error|hang|off)");
     }
     point.rng_state = 0x5eedfa17'f01a75ULL;
     points[name] = point;
@@ -174,44 +151,6 @@ void FailPoints::evaluate(const char* name) {
 bool FailPoints::fails(const char* name) {
   if (armed_.load(std::memory_order_acquire) == 0) return false;
   return roll(name);
-}
-
-NetFault FailPoints::net_fault(const char* name) {
-  if (armed_.load(std::memory_order_acquire) == 0) return NetFault{};
-  NetFault fault;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = points_.find(name);
-    if (it == points_.end()) return NetFault{};
-    Point& point = it->second;
-    if (point.max_fires != 0 && point.fired >= point.max_fires) return NetFault{};
-    switch (point.action) {
-      case Action::kDrop:
-        fault.kind = NetFault::Kind::kDrop;
-        break;
-      case Action::kDelay:
-        fault.kind = NetFault::Kind::kDelay;
-        fault.param = point.stall_ms;
-        break;
-      case Action::kTruncate:
-        fault.kind = NetFault::Kind::kTruncate;
-        fault.param = point.net_param;
-        break;
-      case Action::kReset:
-        fault.kind = NetFault::Kind::kReset;
-        fault.param = point.net_param;
-        break;
-      default:
-        return NetFault{};  // error/hang/off belong to the other hooks
-    }
-    ++point.fired;
-  }
-  // Like 'hang': the stall happens outside the lock so one delayed
-  // connection cannot serialize every hook in the process.
-  if (fault.kind == NetFault::Kind::kDelay && fault.param > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(fault.param));
-  }
-  return fault;
 }
 
 }  // namespace svtox

@@ -16,24 +16,12 @@
 //   spec   := point (',' point)*
 //   point  := name '=' action ['*' count] [':' param]
 //   action := 'error' | 'hang' | 'off'
-//           | 'drop' | 'delay' | 'truncate' | 'reset-after'
 //
 // `count` caps how many times the point fires (default: unlimited).
 // For 'error' the param is a firing probability in [0, 1] (default 1;
 // drawn from a fixed-seed deterministic stream). For 'hang' the param is
 // the stall in milliseconds (default 100) -- a bounded stall, not a true
 // hang, so injected tests cannot deadlock the suite.
-//
-// The last four are connection-scoped *network* actions, consumed only by
-// hooks in src/net through SVTOX_NET_FAIL_POINT (net_fault()):
-//
-//   drop            kill the connection at this site (close / refuse)
-//   delay:ms        sleep `ms` (default 100, capped at 60000) then proceed
-//   truncate:n      transmit only the first `n` bytes (default 0) and drop
-//   reset-after:n   after `n` bytes, hard-reset the socket (RST via
-//                   SO_LINGER) so the peer sees ECONNRESET
-//
-// Non-network hooks ignore these actions; net hooks ignore error/hang.
 #pragma once
 
 #include <atomic>
@@ -43,14 +31,6 @@
 #include <string>
 
 namespace svtox {
-
-/// One armed network action, as returned by FailPoints::net_fault(). kNone
-/// means "nothing armed here -- proceed normally".
-struct NetFault {
-  enum class Kind { kNone, kDrop, kDelay, kTruncate, kReset };
-  Kind kind = Kind::kNone;
-  int param = 0;  ///< delay ms / truncate bytes / reset-after bytes.
-};
 
 class FailPoints {
  public:
@@ -88,20 +68,13 @@ class FailPoints {
   /// simulate their local failure mode. 'hang' stalls and returns false.
   bool fails(const char* name);
 
-  /// Hook body behind SVTOX_NET_FAIL_POINT: returns the armed network
-  /// action for `name` (kNone when unarmed, exhausted, or armed with a
-  /// non-network action). A kDelay fault performs its stall here, then
-  /// reports kDelay so call sites can account for it.
-  NetFault net_fault(const char* name);
-
  private:
-  enum class Action { kError, kHang, kOff, kDrop, kDelay, kTruncate, kReset };
+  enum class Action { kError, kHang, kOff };
 
   struct Point {
     Action action = Action::kOff;
     double probability = 1.0;     ///< 'error' only.
-    int stall_ms = 100;           ///< 'hang'/'delay' only.
-    int net_param = 0;            ///< 'truncate'/'reset-after' byte count.
+    int stall_ms = 100;           ///< 'hang' only.
     std::uint64_t max_fires = 0;  ///< 0 = unlimited.
     std::uint64_t fired = 0;
     std::uint64_t rng_state = 0;  ///< splitmix64 stream for `probability`.
@@ -136,10 +109,7 @@ class FailPointScope {
 #define SVTOX_FAIL_POINT(name) ::svtox::FailPoints::instance().evaluate(name)
 /// Boolean hook: true when an injected failure should be simulated here.
 #define SVTOX_FAIL_POINT_FAILS(name) ::svtox::FailPoints::instance().fails(name)
-/// Network hook: the armed NetFault for this site (kNone when idle).
-#define SVTOX_NET_FAIL_POINT(name) ::svtox::FailPoints::instance().net_fault(name)
 #else
 #define SVTOX_FAIL_POINT(name) ((void)0)
 #define SVTOX_FAIL_POINT_FAILS(name) (false)
-#define SVTOX_NET_FAIL_POINT(name) (::svtox::NetFault{})
 #endif

@@ -151,7 +151,7 @@ TEST(Variants, Nand2States00And10ShareMinLeakVersion) {
 TEST(Variants, ToxAssignmentsAreStackUniform) {
   // Paper Sec. 4: "the assignment of Tox to transistors in a stack is
   // already uniform in the proposed approach" -- for the Table 2 cell set.
-  for (const std::string& name : {"INV", "NAND2", "NAND3", "NOR2", "NOR3"}) {
+  for (const char* name : {"INV", "NAND2", "NAND3", "NOR2", "NOR3"}) {
     const CellTopology topo = make_standard_cell(name, tech());
     const CellVersionSet set = gen(topo, true);
     const SpNode* nets[2] = {&topo.pull_down(), &topo.pull_up()};

@@ -164,6 +164,27 @@ TEST(CheckpointFingerprint, TracksProblemAndKnobs) {
   EXPECT_NE(base, fp(p5, options, true));   // mode changes the run
 }
 
+// Pins the fingerprint encoding with values recorded before the subtree
+// knobs left SearchOptions: a drift would silently invalidate every
+// existing .ckpt file (a mismatched fingerprint is ignored, not resumed).
+TEST(CheckpointFingerprint, MatchesRecordedGoldens) {
+  const auto circuit = netlist::make_benchmark("c432", lib());
+  const AssignmentProblem problem(circuit, 0.05);
+  SearchOptions options;
+  options.max_leaves = 100;
+  EXPECT_EQ(search_fingerprint(problem, options, BoundKind::kMinVariant, false),
+            0x8f321ebe644505aaULL);
+  options.random_probes = 256;
+  EXPECT_EQ(search_fingerprint(problem, options, BoundKind::kFastestVariant, true),
+            0x40a485c9e9c362b5ULL);
+  options.pinned_inputs.assign(
+      static_cast<std::size_t>(circuit.num_control_points()), sim::Tri::kX);
+  options.pinned_inputs[0] = sim::Tri::kOne;
+  options.pinned_inputs[3] = sim::Tri::kZero;
+  EXPECT_EQ(search_fingerprint(problem, options, BoundKind::kMinVariant, false),
+            0xe3bd3b540686670dULL);
+}
+
 // ---------------------------------------------------------------------------
 // Kill-and-resume byte-identity.
 

@@ -15,6 +15,9 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -128,6 +131,29 @@ TEST(SvcFingerprint, CacheKeyReflectsEveryKnob) {
   EXPECT_NE(base, svc::cache_key(1, 3, knobs));
 }
 
+// Pins the cache-key encoding with keys recorded before the distributed
+// knobs left RunKnobs. Disk cache entries and checkpoint files are named
+// by these keys, so any drift here orphans every persisted entry.
+TEST(SvcFingerprint, CacheKeysMatchRecordedGoldens) {
+  svc::RunKnobs knobs;
+  knobs.method = "heu2";
+  knobs.penalty_fraction = 0.05;
+  knobs.time_limit_s = 5.0;
+  knobs.random_vectors = 10000;
+  knobs.seed = 2004;
+  knobs.search_threads = 2;
+  knobs.max_leaves = 5000;
+  const std::uint64_t lib_fp = 0x0123456789abcdefULL;
+  const std::uint64_t net_fp = 0xfedcba9876543210ULL;
+  EXPECT_EQ(svc::cache_key(lib_fp, net_fp, knobs), "0123456789abcdef.fedcba9876543210.b153ab8dc2f53b08");
+  knobs.pinned_inputs = "01x1";
+  EXPECT_EQ(svc::cache_key(lib_fp, net_fp, knobs), "0123456789abcdef.fedcba9876543210.22843300d2677ef0");
+  knobs.boundary_timing = "0:20,15.5:30,0:20,7.25:12";
+  EXPECT_EQ(svc::cache_key(lib_fp, net_fp, knobs), "0123456789abcdef.fedcba9876543210.d5946ae192582a02");
+  knobs.pinned_inputs.clear();
+  EXPECT_EQ(svc::cache_key(lib_fp, net_fp, knobs), "0123456789abcdef.fedcba9876543210.d58ac5e7470d3136");
+}
+
 // ---------------------------------------------------------------------------
 // Job specs on the wire
 // ---------------------------------------------------------------------------
@@ -176,6 +202,23 @@ TEST(SvcJob, InvalidSpecsRejected) {
   EXPECT_THROW(
       svc::job_spec_from_json(Json::parse(R"({"circuit":"c432","penalty":"5"})")),
       ContractError);
+}
+
+TEST(SvcJob, RemovedSubtreeFieldsAreUnknownFields) {
+  // The distributed-search fields are gone: a spec carrying one fails
+  // exactly like a misspelled key.
+  const std::vector<std::pair<std::string, Json>> removed = {
+      {"subtrees", Json(4)}, {"subtree_prefix", Json("01")}, {"resume_text", Json("x")}};
+  for (const auto& [field, value] : removed) {
+    Json spec = Json::parse(R"({"circuit":"c432","method":"heu2","max_leaves":100})");
+    spec.set(field, value);
+    try {
+      svc::job_spec_from_json(spec);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const ContractError& e) {
+      EXPECT_EQ(std::string(e.what()), "unknown job field '" + field + "'");
+    }
+  }
 }
 
 TEST(SvcJob, ResultJsonRoundTrip) {
@@ -689,6 +732,119 @@ TEST(SvcServer, EndToEndOverUnixSocket) {
   EXPECT_FALSE(svc::Client::ping(socket_path));
 }
 
+TEST(SvcServer, PerShardCacheCountersInStatsReply) {
+  const std::string socket_path =
+      "/tmp/svc_test_shards_" + std::to_string(::getpid()) + ".sock";
+  svc::Scheduler scheduler;
+  svc::Server server(scheduler, socket_path);
+  server.start();
+  svc::Client submitter(socket_path);
+  svc::Client reader(socket_path);
+
+  // One miss then one hit, somewhere in the shard array. Job ids are
+  // daemon-wide: a second connection collects what the first submitted.
+  const JobSpec spec = heu1_job("c432", 5);
+  EXPECT_EQ(reader.result(submitter.submit(spec)).status, JobStatus::kDone);
+  EXPECT_TRUE(reader.result(submitter.submit(spec)).cache_hit);
+
+  const Json stats = reader.stats();
+  const Json* shards = stats.get("cache_shards");
+  ASSERT_NE(shards, nullptr);
+  ASSERT_FALSE(shards->as_array().empty());
+  std::int64_t hits = 0, misses = 0, entries = 0;
+  for (const Json& shard : shards->as_array()) {
+    for (const char* key : {"hits", "disk_hits", "misses", "inflight_waits",
+                            "evictions", "corrupt", "entries", "inflight"}) {
+      ASSERT_NE(shard.get(key), nullptr) << "missing shard counter " << key;
+    }
+    hits += shard.get("hits")->as_int();
+    misses += shard.get("misses")->as_int();
+    entries += shard.get("entries")->as_int();
+  }
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(misses, 1);
+  EXPECT_EQ(entries, 1);
+  server.stop();
+  scheduler.shutdown(/*drain=*/false);
+}
+
+TEST(SvcServer, PrometheusMetricsParse) {
+  const std::string socket_path =
+      "/tmp/svc_test_prom_" + std::to_string(::getpid()) + ".sock";
+  svc::Scheduler scheduler;
+  svc::Server server(scheduler, socket_path);
+  server.start();
+  svc::Client client(socket_path);
+  client.result(client.submit(heu1_job("c432", 5)));
+
+  Json request = Json::object();
+  request.set("cmd", std::string("metrics"));
+  const Json reply = client.request(request);
+  ASSERT_TRUE(reply.get("ok")->as_bool(false));
+  const std::string text = reply.get("metrics")->as_string();
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+
+  // Every line is a comment or `name[{labels}] value`; every metric name
+  // that appears has HELP and TYPE headers.
+  const std::regex sample(
+      R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+="[^"]*"(,[a-zA-Z_]+="[^"]*")*\})? -?[0-9]+(\.[0-9]+)?([eE][+-][0-9]+)?$)");
+  std::set<std::string> helped, typed, sampled;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    if (line.rfind("# HELP ", 0) == 0) {
+      helped.insert(line.substr(7, line.find(' ', 7) - 7));
+    } else if (line.rfind("# TYPE ", 0) == 0) {
+      typed.insert(line.substr(7, line.find(' ', 7) - 7));
+    } else {
+      EXPECT_TRUE(std::regex_match(line, sample)) << "bad metrics line: " << line;
+      sampled.insert(line.substr(0, line.find_first_of("{ ")));
+    }
+  }
+  for (const std::string& name : sampled) {
+    EXPECT_TRUE(helped.count(name)) << "no HELP for " << name;
+    EXPECT_TRUE(typed.count(name)) << "no TYPE for " << name;
+  }
+  EXPECT_TRUE(sampled.count("svtox_jobs_total"));
+  EXPECT_TRUE(sampled.count("svtox_cache_ops_total"));
+  EXPECT_TRUE(sampled.count("svtox_cache_entries"));
+  server.stop();
+  scheduler.shutdown(/*drain=*/false);
+}
+
+// A client started before the daemon binds its socket must reach it via
+// connect retry/backoff.
+TEST(SvcServer, ClientConnectRetryCoversLateStartingDaemon) {
+  const std::string socket_path =
+      "/tmp/svc_test_late_" + std::to_string(::getpid()) + ".sock";
+  ::unlink(socket_path.c_str());
+  std::thread late([&socket_path] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    svc::Scheduler scheduler;
+    svc::Server server(scheduler, socket_path);
+    server.start();
+    // Stay alive long enough for the client's round trip.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    server.stop();
+    scheduler.shutdown(/*drain=*/false);
+  });
+
+  svc::ClientOptions patient;
+  patient.max_attempts = 30;
+  patient.backoff_initial_s = 0.05;
+  patient.backoff_max_s = 0.2;
+  bool ok = false;
+  try {
+    svc::Client client(socket_path, patient);
+    ok = client.stats().get("ok")->as_bool(false);
+  } catch (...) {
+  }
+  late.join();
+  EXPECT_TRUE(ok);
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial wire input: the server must reply with errors (or close the
 // connection), never crash, hang, or stop serving other clients.
@@ -800,6 +956,41 @@ TEST(SvcServerRobustness, TruncatedFrameThenDisconnectLeavesServerServing) {
   send_all(fd, "{\"cmd\":\"stats\"}\n");
   EXPECT_NE(recv_line(fd).find("\"ok\":true"), std::string::npos);
   ::close(fd);
+}
+
+TEST(SvcServerRobustness, AdmissionControlRejectsWithBusy) {
+  const std::string socket_path =
+      "/tmp/svc_test_busy_" + std::to_string(::getpid()) + ".sock";
+  svc::Scheduler scheduler(RawServer::one_worker());
+  svc::ServerOptions options;
+  options.socket_path = socket_path;
+  options.max_connections = 1;
+  svc::Server server(scheduler, options);
+  server.start();
+
+  // The first connection occupies the only slot...
+  const int holder = raw_connect(socket_path);
+  send_all(holder, "{\"cmd\":\"stats\"}\n");
+  ASSERT_NE(recv_line(holder).find("\"ok\":true"), std::string::npos);
+
+  // ...so the next one is told "busy" instead of being left hanging.
+  const int second = raw_connect(socket_path);
+  const Json reply = Json::parse(recv_line(second));
+  EXPECT_FALSE(reply.get("ok")->as_bool(true));
+  EXPECT_EQ(reply.get("error_code")->as_string(), "busy");
+  EXPECT_TRUE(recv_line(second).empty()) << "connection should be closed";
+  ::close(second);
+
+  // Releasing the slot lets a fresh client in; Client::submit retries
+  // "busy" internally, so a briefly saturated daemon is invisible to it.
+  ::close(holder);
+  svc::ClientOptions retry;
+  retry.max_attempts = 20;
+  retry.backoff_initial_s = 0.02;
+  svc::Client client(socket_path, retry);
+  EXPECT_EQ(client.result(client.submit(heu1_job("c432", 5))).status, JobStatus::kDone);
+  server.stop();
+  scheduler.shutdown(/*drain=*/false);
 }
 
 TEST(SvcServerRobustness, ClientDisconnectBeforeReplyDoesNotKillServer) {

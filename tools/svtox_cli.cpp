@@ -12,12 +12,10 @@
 //                    [--cache-dir DIR] [-o curve.txt]
 //   svtox suite      [--penalty PCT] [--time-limit SEC] [--threads N]
 //                    [--cache-dir DIR]
-//   svtox batch      --manifest FILE (--socket PATH | --tcp HOST:PORT | --local)
+//   svtox batch      --manifest FILE (--socket PATH | --local)
 //                    [--workers N] [--cache-dir DIR] [--output-dir DIR]
-//   svtox stats      (--socket PATH | --tcp HOST:PORT) [--prometheus]
-//                    [--timeout SEC]
-//   svtox cmd        (--socket PATH | --tcp HOST:PORT) --json '{"cmd":...}'
-//                    [--timeout SEC]
+//   svtox stats      --socket PATH [--prometheus] [--timeout SEC]
+//   svtox cmd        --socket PATH --json '{"cmd":...}' [--timeout SEC]
 //   svtox hier       (--bench file.bench | --circuit NAME | --scale PRESET)
 //                    [--penalty PCT] [--method heu1|heu2|state|vtstate]
 //                    [--max-gates N] [--threads N] [--cache-dir DIR]
@@ -50,25 +48,22 @@
 // `--threads N` solves independent rows concurrently and `--cache-dir`
 // keeps solved instances across invocations. `batch` feeds a JSON manifest
 // (an array of job objects, or one object per line) either to a running
-// svtoxd daemon (`--socket PATH` for the Unix transport, `--tcp HOST:PORT`
-// for the framed TCP transport) or to an in-process scheduler (`--local`),
-// streaming one JSON result line per job; options per job are documented
-// in src/svc/job.hpp. `stats` queries a running daemon: by default the
-// stats JSON (job counters, per-shard cache hit/miss/inflight/eviction
-// counts, distributed-cache, cluster-health and network counters), with
-// `--prometheus` the same numbers in Prometheus text exposition format.
+// svtoxd daemon (`--socket PATH`) or to an in-process scheduler
+// (`--local`), streaming one JSON result line per job; options per job are
+// documented in src/svc/job.hpp. `stats` queries a running daemon: by
+// default the stats JSON (job counters and per-shard cache
+// hit/miss/inflight/eviction counts), with `--prometheus` the same numbers
+// in Prometheus text exposition format.
 // Both `stats` and `cmd` bound their whole connect+request under
 // `--timeout` (default 2s/10s), so pointing them at a dead daemon fails
 // fast with a clean error instead of hanging in reconnect backoff.
 //
-// `cmd` sends one raw JSON request verbatim and prints the reply -- the
-// operator/chaos control plane for requests without a dedicated
-// subcommand (`failpoints`, `cluster_reload`, `adopt_jobs`, `ping`).
+// `cmd` sends one raw JSON request verbatim and prints the reply.
 //
 // `batch` against a daemon survives a daemon crash or restart: on a lost
 // connection it reconnects (bounded retry) and resubmits every
-// uncollected job. Server-side checkpoints and coordinator job ledgers
-// make those resubmissions resume rather than restart.
+// uncollected job. Server-side checkpoints make those resubmissions resume
+// rather than restart.
 #include <sys/stat.h>
 
 #include <atomic>
@@ -143,9 +138,9 @@ const std::map<std::string, std::set<std::string>>& allowed_options() {
        {"penalty", "time-limit", "threads", "cache-dir", "two-point",
         "uniform-stack", "vt-only", "nitrided"}},
       {"batch",
-       {"manifest", "socket", "tcp", "local", "workers", "cache-dir", "output-dir"}},
-      {"stats", {"socket", "tcp", "prometheus", "timeout"}},
-      {"cmd", {"socket", "tcp", "json", "timeout"}},
+       {"manifest", "socket", "local", "workers", "cache-dir", "output-dir"}},
+      {"stats", {"socket", "prometheus", "timeout"}},
+      {"cmd", {"socket", "json", "timeout"}},
       {"hier",
        {"bench", "circuit", "scale", "penalty", "method", "max-gates", "threads",
         "cache-dir", "time-limit", "compare-flat", "max-gap", "refine-passes",
@@ -565,35 +560,24 @@ std::string solution_name(const svc::JobResult& result, std::size_t index) {
   return "job" + std::to_string(index + 1) + "_" + name + ".solution";
 }
 
-/// Daemon address from the transport flags: `--socket PATH` (Unix NDJSON;
-/// a "tcp://..." value also works) or `--tcp HOST:PORT` (framed TCP).
-/// Empty when neither was given.
-std::string daemon_address(const Args& args) {
-  if (args.has("tcp")) return "tcp://" + args.get("tcp");
-  return args.get("socket");
-}
-
 int cmd_batch(const Args& args) {
   if (!args.has("manifest")) {
     std::fprintf(stderr, "batch requires --manifest FILE (use '-' for stdin)\n");
     return 2;
   }
-  const int sources =
-      (args.has("socket") ? 1 : 0) + (args.has("tcp") ? 1 : 0) + (args.has("local") ? 1 : 0);
-  if (sources != 1) {
-    std::fprintf(stderr,
-                 "batch needs exactly one of --socket PATH, --tcp HOST:PORT or --local\n");
+  if (args.has("socket") == args.has("local")) {
+    std::fprintf(stderr, "batch needs exactly one of --socket PATH or --local\n");
     return 2;
   }
   const std::vector<svc::JobSpec> specs = read_manifest(args.get("manifest"));
   const std::string output_dir = args.get("output-dir");
   if (!output_dir.empty()) ::mkdir(output_dir.c_str(), 0777);
 
-  // Any transport yields the same submit-all / collect-in-order loop.
+  // Daemon or in-process: the same submit-all / collect-in-order loop.
   std::optional<svc::Client> client;
   std::optional<svc::Scheduler> scheduler;
   if (!args.has("local")) {
-    client.emplace(daemon_address(args));
+    client.emplace(args.get("socket"));
   } else {
     svc::Scheduler::Options options;
     options.workers = static_cast<int>(parse_double(args.get("workers", "0")));
@@ -609,15 +593,13 @@ int cmd_batch(const Args& args) {
 
   // Failover: a crashed/restarted daemon loses our connection AND our job
   // ids. Reconnect (bounded) and resubmit every uncollected job --
-  // server-side checkpoints and coordinator ledgers turn the resubmission
-  // into a resume, not a restart.
+  // server-side checkpoints turn the resubmission into a resume, not a
+  // restart.
   auto resubmit_from = [&](std::size_t from) -> bool {
     for (int attempt = 0; attempt < 30; ++attempt) {
       std::this_thread::sleep_for(std::chrono::seconds(1));
       try {
-        svc::ClientOptions reconnect_options;
-        reconnect_options.connect_timeout_s = 2.0;
-        client.emplace(daemon_address(args), reconnect_options);
+        client.emplace(args.get("socket"));
         for (std::size_t j = from; j < specs.size(); ++j) {
           ids[j] = client->submit(specs[j]);
         }
@@ -666,16 +648,15 @@ int cmd_batch(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  if (args.has("socket") == args.has("tcp")) {
-    std::fprintf(stderr, "stats needs exactly one of --socket PATH or --tcp HOST:PORT\n");
+  if (!args.has("socket")) {
+    std::fprintf(stderr, "stats needs --socket PATH\n");
     return 2;
   }
   // Interactive probe: fail fast against a dead daemon (clean error, exit
   // 1) instead of sitting in reconnect backoff.
   svc::ClientOptions options;
-  options.connect_timeout_s = 1.0;
   options.total_deadline_s = parse_double(args.get("timeout", "2"));
-  svc::Client client(daemon_address(args), options);
+  svc::Client client(args.get("socket"), options);
   if (args.has("prometheus")) {
     // Scrape-ready text: what a Prometheus exporter sidecar would relay.
     svc::Json request = svc::Json::object();
@@ -697,8 +678,8 @@ int cmd_stats(const Args& args) {
 }
 
 int cmd_raw(const Args& args) {
-  if (args.has("socket") == args.has("tcp")) {
-    std::fprintf(stderr, "cmd needs exactly one of --socket PATH or --tcp HOST:PORT\n");
+  if (!args.has("socket")) {
+    std::fprintf(stderr, "cmd needs --socket PATH\n");
     return 2;
   }
   if (!args.has("json")) {
@@ -706,9 +687,8 @@ int cmd_raw(const Args& args) {
     return 2;
   }
   svc::ClientOptions options;
-  options.connect_timeout_s = 2.0;
   options.total_deadline_s = parse_double(args.get("timeout", "10"));
-  svc::Client client(daemon_address(args), options);
+  svc::Client client(args.get("socket"), options);
   const svc::Json reply = client.request(svc::Json::parse(args.get("json")));
   std::printf("%s\n", reply.dump().c_str());
   const svc::Json* ok = reply.get("ok");

@@ -3,34 +3,13 @@
 //   svtoxd [--socket PATH] [--workers N] [--queue-capacity N]
 //          [--cache-capacity N] [--cache-dir DIR] [--contexts N]
 //          [--checkpoint-dir DIR] [--checkpoint-every SEC]
-//          [--listen-tcp [HOST:]PORT] [--peers A,B,...] [--self HOST:PORT]
-//          [--peers-file PATH] [--heartbeat-interval SEC]
-//          [--suspect-after SEC] [--down-after SEC] [--cache-replicas N]
-//          [--adopt-jobs] [--max-connections N] [--steal-after SEC]
+//          [--max-connections N]
 //
-// Listens on a Unix-domain socket (newline-delimited JSON) and optionally
-// on TCP (--listen-tcp; the same JSON in length-prefixed frames) -- the
-// protocol is documented in src/svc/server.hpp. Jobs run on a persistent
-// worker pool that keeps characterized libraries, per-circuit optimizer
-// contexts and the solution cache warm across requests; `svtox batch` is
-// the matching client for either transport.
-//
-// --peers turns the daemon into a cluster member: the solution cache
-// becomes two-level (a consistent-hash ring decides which member owns each
-// key, so identical jobs submitted anywhere in the cluster solve once),
-// and jobs with "subtrees" >= 2 distribute their state-tree shards to the
-// peers with checkpoint-token work-stealing. The peer list must be the
-// same on every member; --self names this daemon's own TCP address in that
-// list (default: 127.0.0.1:<bound port>).
-//
-// Self-healing: --heartbeat-interval starts a prober that pings every peer
-// and classifies it up/suspect/down (--suspect-after / --down-after);
-// down peers are routed around until they answer again. --cache-replicas N
-// replicates cache entries to the next N ring successors so a crashed
-// owner's keys stay served. --peers-file PATH makes membership dynamic:
-// SIGHUP (or a `cluster_reload` request) re-reads the file and swaps the
-// ring atomically. --adopt-jobs scans --checkpoint-dir at startup for job
-// ledgers orphaned by a crashed coordinator and resumes them.
+// Listens on a Unix-domain socket (newline-delimited JSON; the protocol is
+// documented in src/svc/server.hpp). Jobs run on a persistent worker pool
+// that keeps characterized libraries, per-circuit optimizer contexts and
+// the solution cache warm across requests; `svtox batch` is the matching
+// client.
 //
 // Exits on a `shutdown` request (draining the backlog unless
 // {"drain":false}). SIGINT/SIGTERM interrupt running searches instead of
@@ -42,15 +21,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <limits.h>
 #include <unistd.h>
 
-#include "svc/cluster.hpp"
 #include "svc/scheduler.hpp"
 #include "svc/server.hpp"
 
@@ -61,12 +37,7 @@ int usage() {
                "usage: svtoxd [--socket PATH] [--workers N] [--queue-capacity N]\n"
                "              [--cache-capacity N] [--cache-dir DIR] [--contexts N]\n"
                "              [--checkpoint-dir DIR] [--checkpoint-every SEC]\n"
-               "              [--listen-tcp [HOST:]PORT] [--peers A,B,...]\n"
-               "              [--self HOST:PORT] [--peers-file PATH]\n"
-               "              [--heartbeat-interval SEC] [--suspect-after SEC]\n"
-               "              [--down-after SEC] [--cache-replicas N]\n"
-               "              [--adopt-jobs] [--max-connections N]\n"
-               "              [--steal-after SEC]\n");
+               "              [--max-connections N]\n");
   return 2;
 }
 
@@ -78,9 +49,8 @@ int g_signal_pipe[2] = {-1, -1};
 // checkpoint) from a protocol shutdown (honor the request's drain flag).
 std::atomic<bool> g_signalled{false};
 
-void on_signal(int sig) {
-  // 1 = terminate (SIGINT/SIGTERM), 2 = reload peers file (SIGHUP).
-  const char byte = sig == SIGHUP ? 2 : 1;
+void on_signal(int) {
+  const char byte = 1;
   [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
@@ -96,21 +66,6 @@ std::string absolute_dir(const std::string& dir) {
   return std::string(cwd) + "/" + dir;
 }
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item =
-        csv.substr(start, comma == std::string::npos ? csv.size() - start
-                                                     : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,14 +73,6 @@ int main(int argc, char** argv) {
   server_options.socket_path = "/tmp/svtoxd.sock";
   svtox::svc::Scheduler::Options options;
   options.workers = 0;  // all hardware threads
-  std::vector<std::string> peers;
-  std::string self_address;
-  std::string peers_file;
-  double heartbeat_interval_s = 0.0;
-  double suspect_after_s = 3.0;
-  double down_after_s = 10.0;
-  int cache_replicas = 0;
-  bool adopt_jobs = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
@@ -149,38 +96,13 @@ int main(int argc, char** argv) {
     else if (key == "--checkpoint-dir") options.checkpoint_dir = value();
     else if (key == "--checkpoint-every")
       options.checkpoint_every_s = std::atof(value().c_str());
-    else if (key == "--listen-tcp") {
-      const std::string addr = value();
-      const std::size_t colon = addr.rfind(':');
-      if (colon != std::string::npos) {
-        server_options.tcp_host = addr.substr(0, colon);
-        server_options.tcp_port = std::atoi(addr.c_str() + colon + 1);
-      } else {
-        server_options.tcp_port = std::atoi(addr.c_str());
-      }
-    } else if (key == "--peers") peers = split_csv(value());
-    else if (key == "--self") self_address = value();
-    else if (key == "--peers-file") peers_file = value();
-    else if (key == "--heartbeat-interval")
-      heartbeat_interval_s = std::atof(value().c_str());
-    else if (key == "--suspect-after") suspect_after_s = std::atof(value().c_str());
-    else if (key == "--down-after") down_after_s = std::atof(value().c_str());
-    else if (key == "--cache-replicas") cache_replicas = std::atoi(value().c_str());
-    else if (key == "--adopt-jobs") adopt_jobs = true;
     else if (key == "--max-connections")
       server_options.max_connections = static_cast<std::size_t>(std::atol(value().c_str()));
-    else if (key == "--steal-after")
-      options.dist_steal_after_s = std::atof(value().c_str());
     else if (key == "--help" || key == "-h") return usage();
     else {
       std::fprintf(stderr, "unknown option '%s'\n", key.c_str());
       return usage();
     }
-  }
-
-  if ((!peers.empty() || !peers_file.empty()) && server_options.tcp_port < 0) {
-    std::fprintf(stderr, "svtoxd: --peers/--peers-file requires --listen-tcp\n");
-    return 2;
   }
 
   // Pin state directories before any job can touch them (and before any
@@ -192,63 +114,19 @@ int main(int argc, char** argv) {
     svtox::svc::Scheduler scheduler(options);
     svtox::svc::Server server(scheduler, server_options);
 
-    // The cluster speaks to peers over TCP, so it can only exist once the
-    // listener is bound (an ephemeral --listen-tcp 0 needs the real port
-    // for the default self address).
-    std::optional<svtox::svc::Cluster> cluster;
-    if (!peers.empty() || !peers_file.empty()) {
-      svtox::svc::ClusterOptions cluster_options;
-      cluster_options.self =
-          self_address.empty() ? "127.0.0.1:" + std::to_string(server.tcp_port())
-                               : self_address;
-      // A file-only start boots with just self; the reload below fills in
-      // the real membership (and SIGHUP keeps it current).
-      cluster_options.members =
-          peers.empty() ? std::vector<std::string>{cluster_options.self} : peers;
-      cluster_options.peers_file = absolute_dir(peers_file);
-      cluster_options.heartbeat_interval_s = heartbeat_interval_s;
-      cluster_options.suspect_after_s = suspect_after_s;
-      cluster_options.down_after_s = down_after_s;
-      cluster_options.cache_replicas = cache_replicas;
-      cluster.emplace(cluster_options);
-      if (!peers_file.empty()) {
-        try {
-          cluster->reload_from_file();
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "svtoxd: cannot read peers file: %s\n", e.what());
-          return 2;
-        }
-      }
-      cluster->start();  // no-op when heartbeat_interval_s <= 0
-      scheduler.set_cluster(&*cluster);
-    }
-
     if (::pipe(g_signal_pipe) != 0) {
       std::fprintf(stderr, "svtoxd: cannot create signal pipe\n");
       return 1;
     }
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
-    std::signal(SIGHUP, on_signal);
+    std::signal(SIGHUP, SIG_IGN);  // survive a closed controlling terminal
     std::signal(SIGPIPE, SIG_IGN);
-    std::thread signal_watcher([&server, &cluster] {
+    std::thread signal_watcher([&server] {
       char byte;
-      while (::read(g_signal_pipe[0], &byte, 1) > 0) {
-        if (byte == 2) {
-          // SIGHUP: membership reload. Never fatal -- a bad file keeps the
-          // current ring.
-          if (cluster && !cluster->options().peers_file.empty()) {
-            try {
-              cluster->reload_from_file();
-            } catch (const std::exception& e) {
-              std::fprintf(stderr, "svtoxd: peers reload failed: %s\n", e.what());
-            }
-          }
-          continue;
-        }
+      if (::read(g_signal_pipe[0], &byte, 1) > 0) {
         g_signalled.store(true);
         server.stop();
-        return;
       }
     });
 
@@ -257,23 +135,8 @@ int main(int argc, char** argv) {
                 server.socket_path().c_str(), scheduler.stats().workers,
                 options.cache_capacity, options.cache_dir.empty() ? "" : ", disk ",
                 options.cache_dir.c_str());
-    if (server.tcp_port() >= 0) {
-      std::printf("svtoxd: listening on tcp://%s%s\n", server.tcp_address().c_str(),
-                  cluster ? (" as cluster member " + cluster->self()).c_str() : "");
-    }
     if (!options.checkpoint_dir.empty()) {
       std::printf("svtoxd: checkpoint dir %s\n", options.checkpoint_dir.c_str());
-    }
-    if (cluster && heartbeat_interval_s > 0.0) {
-      std::printf("svtoxd: heartbeats every %.3gs (suspect %.3gs, down %.3gs)\n",
-                  heartbeat_interval_s, suspect_after_s, down_after_s);
-    }
-    if (adopt_jobs) {
-      const std::size_t adopted = scheduler.adopt_orphaned_jobs();
-      if (adopted > 0) {
-        std::printf("svtoxd: adopted %zu orphaned job%s from %s\n", adopted,
-                    adopted == 1 ? "" : "s", options.checkpoint_dir.c_str());
-      }
     }
     std::fflush(stdout);
 
@@ -283,10 +146,9 @@ int main(int argc, char** argv) {
                 signalled ? "interrupting running jobs" : drain ? "draining" : "immediate");
     std::fflush(stdout);
     // Order matters: finishing the scheduler releases handler threads blocked
-    // in result-waits, which server.stop() then joins -- and the scheduler
-    // must be down before `cluster` (which its coordinators borrow) leaves
-    // scope. A signal-driven exit cancels running searches so they
-    // checkpoint instead of running out their budgets.
+    // in result-waits, which server.stop() then joins. A signal-driven exit
+    // cancels running searches so they checkpoint instead of running out
+    // their budgets.
     if (signalled) {
       scheduler.shutdown(/*drain=*/false, /*interrupt_running=*/true);
     } else {
